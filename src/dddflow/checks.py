@@ -41,9 +41,7 @@ def _evaluator(eps=1.0, n_polar=24, n_azimuthal=48, overrides=None, lam=1.0, mu=
     ev = KN.KernelEvaluator(C, KN.MollifierProfile(eps), rule)
     scale = overrides.get("nphi_scale", 1.0)
     if scale != 1.0:
-        fk = ev.fk * scale
-        ev.__dict__["fk"] = fk
-        ev.__dict__["_fk81"] = fk.reshape(-1, 81)
+        ev.fk = ev.fk * scale
     return ev
 
 

@@ -23,7 +23,6 @@ _DEFAULTS = {
         "sphere_polar": 24,
         "sphere_azimuthal": 48,
         "line_order": 4,
-        "surface_points": 3,
     },
     "stepping": {"c1": 0.1, "c2": 0.1, "dt_max": 1.0, "dt_min": 1e-12, "t_end": 1.0},
     "remesh": {"h_min": 0.3, "h_max": 1.0},
@@ -166,12 +165,10 @@ def loads_config(text):
     q_in = raw.get("quadrature", {})
     _require_keys(q_in, set(q), "quadrature.")
     q.update(q_in)
-    for key in ("sphere_polar", "sphere_azimuthal", "line_order", "surface_points"):
+    for key in ("sphere_polar", "sphere_azimuthal", "line_order"):
         q[key] = _nonneg_int(q[key], f"quadrature.{key}")
     if q["sphere_polar"] % 2 or q["sphere_polar"] < 2:
         raise ConfigError("'quadrature.sphere_polar' must be an even integer >= 2")
-    if q["surface_points"] not in (1, 3):
-        raise ConfigError("'quadrature.surface_points' must be 1 or 3")
     data["quadrature"] = q
 
     s = dict(_DEFAULTS["stepping"])

@@ -8,17 +8,21 @@ segment vectors.  The discrete energy is smooth in the node positions,
 so its gradient is assembled analytically; the per-node force density is
 minus that gradient divided by the lumped node length.
 
-Pair sums are accumulated per sphere node in fixed chunk order, so
-results do not depend on the worker count.
+Every kernel sum is, per sphere node z, a 1-D correlation in t = z.x of
+9-channel densities with eta, eta' or eta''; `_correlate` evaluates it
+on a uniform grid by FFT at linear cost in the point count.  Sphere
+nodes are processed in fixed chunks reduced in fixed order, so results
+do not depend on the worker count.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from . import parallel
-from .calibration import BOUND_CONSTANTS, N_PHI
+from .calibration import BOUND_CONSTANTS
 from .elasticity import ALTERNATING
 from .geometry import mass, mass_ratio, pushforward
 from .kernels import eta
@@ -124,56 +128,116 @@ def _loop_slices(loop_of, n_loops):
     return np.append(starts, len(loop_of))
 
 
-def _pair_sums(ev, cloud, want_grad, want_blocks, workers=None):
-    """Accumulate energy (and optional gradient channels / loop blocks)
-    over sphere nodes, chunked deterministically.
+# Correlation grid spacing in units of eps.  Cubic B-spline deposit and
+# gather at eps/24 agree with the exact pair sum to ~2e-9 relative on the
+# force density; a quadratic spline at eps/32 (3.8e-8) or eps/48 (1.0e-8)
+# and a cubic one at eps/16 (1.4e-8) miss the 1e-8 that the rotational
+# covariance of pk_force demands.
+GRID_STEP = 1.0 / 24.0
+# Profile support in units of eps: exp(-12^2 / 4) = 2.3e-16 relative.
+KERNEL_CUT = 12.0
+# Doubles per chunk for the grid and for the deposit arrays (2 MB each):
+# bounds memory on large clouds and on sparse networks, whose grids span
+# the empty space.  At 8 MB the slip energy of two 2592-point disks
+# peaked 50 MB higher.
+CHUNK_BUDGET = 1 << 18
+_TAPS = np.arange(-1, 3)[:, None]
 
-    The Gaussian profile core is evaluated once per node and reused for
-    the derivative weight; this dominates the runtime of large meshes.
+
+def _bspline(t, lo, dx):
+    """Cubic B-spline assignment of t (zc, n) onto grids starting at lo
+    (zc,): grid indices and weights, both (zc, 4, n)."""
+    x = (t - lo[:, None]) / dx
+    i0 = x.astype(np.int64)
+    f = x - i0
+    f2 = f * f
+    f3 = f2 * f
+    g = 1.0 - f
+    w = np.empty((len(t), 4, t.shape[1]))
+    w[:, 0] = g * g * g
+    w[:, 1] = 3.0 * f3 - 6.0 * f2 + 4.0
+    w[:, 2] = 1.0 + 3.0 * (f + f2 - f3)
+    w[:, 3] = f3
+    w *= 1.0 / 6.0
+    return i0[:, None, :] + _TAPS, w
+
+
+def _correlate(ev, orders, src_t, src_a, dst_t, src_group=None, n_groups=1):
+    """sum_j eta^(order)(dst_t[k, i] - src_t[k, j]) src_a[j] for a chunk of
+    sphere nodes k, one (zc, n_dst, n_groups * C) array per order.
+
+    Each node's projections are deposited on a uniform grid anchored at
+    their minimum (so translations move no point relative to the grid)
+    with a cubic B-spline, all nodes and channels in one bincount, then
+    convolved by one batched rFFT with the sampled profile derivative,
+    deconvolved by the spline's sinc^8 (deposit and gather), and gathered
+    with the same spline.  Sources with src_group g land in channels
+    g*C .. g*C + C - 1.
     """
-    eps = ev.profile.epsilon
-    amp = N_PHI / eps
-    T = cloud.points @ ev.nodes.T  # (N, nz)
-    a9 = cloud.a9
-    a9t = np.ascontiguousarray(a9.T)
-    nz = len(ev.weights)
-    npts = len(a9)
-    edges = None
-    if want_blocks:
-        edges = _loop_slices(cloud.loop_of, cloud.n_loops)
+    prof = ev.profile
+    dx = GRID_STEP * prof.epsilon
+    half = int(np.ceil(KERNEL_CUT / GRID_STEP))
+    zc = len(src_t)
+    n_chan = src_a.shape[1]
+    channels = n_groups * n_chan
+    # two spacings of margin keep the leftmost tap at index >= 0
+    lo = np.minimum(src_t.min(axis=1), dst_t.min(axis=1)) - 2.0 * dx
+    hi = np.maximum(src_t.max(axis=1), dst_t.max(axis=1))
+    m = int((hi - lo).max() / dx) + 4
+    # no wrap-around between the grid's ends, and no overlap of the
+    # kernel's two halves (that breaks the antisymmetry of eta')
+    nfft = scipy.fft.next_fast_len(max(m + half, 2 * half + 1), real=True)
+    # flat (node, channel, grid) index, laid out (zc, channel, tap, point)
+    rows = (np.arange(zc)[:, None] * channels + np.arange(channels)) * nfft
+    idx, w = _bspline(src_t, lo, dx)
+    flat = rows[:, :n_chan, None, None] + idx[:, None]
+    if src_group is not None:
+        flat += src_group * (n_chan * nfft)
+    weights = w[:, None] * src_a.T[:, None, :]
+    rho = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=zc * channels * nfft)
+    spec = scipy.fft.rfft(rho.reshape(zc, channels, nfft), axis=-1)
+    sinc8 = np.sinc(np.arange(nfft // 2 + 1) / nfft) ** 8
+    toff = np.arange(-half, half + 1) * dx
+    if dst_t is not src_t:
+        idx, w = _bspline(dst_t, lo, dx)
+    gather = rows[:, :, None, None] + idx[:, None]
+    out = []
+    for order in orders:
+        ker = np.zeros(nfft)
+        ker[: half + 1] = eta(prof, toff[half:], order)
+        ker[-half:] = eta(prof, toff[:half], order)
+        conv = scipy.fft.irfft(spec * (scipy.fft.rfft(ker) / sinc8), n=nfft, axis=-1)
+        out.append(np.einsum("ksn,kcsn->knc", w, np.take(conv, gather), optimize=False))
+    return out
 
-    def chunk(lo, hi):
-        w = ev.weights[lo:hi]
-        tc = np.ascontiguousarray(T[:, lo:hi].T)  # (zc, N)
-        d = tc[:, :, None] - tc[:, None, :]
-        h0 = d * d
-        h0 *= -1.0 / (4.0 * eps * eps)
-        np.exp(h0, out=h0)
-        h0 *= amp
-        bm = np.matmul(a9[None, :, :], ev.fk[lo:hi])  # (zc, N, 9)
-        g = np.matmul(bm, a9t[None, :, :])  # (zc, N, N)
-        hg = h0 * g
-        energy = 0.5 * float(w @ hg.sum(axis=(1, 2)))
-        blocks = 0.0
-        if want_blocks:
-            r1 = np.add.reduceat(hg, edges[:-1], axis=1)
-            r2 = np.add.reduceat(r1, edges[:-1], axis=2)
-            blocks = 0.5 * np.tensordot(w, r2, axes=1)
-        gp3 = ga = 0.0
-        if want_grad:
-            d *= -1.0 / (2.0 * eps * eps)
-            d *= h0  # now eta'
-            g *= d  # now eta' * g
-            u = g.sum(axis=2)  # (zc, N)
-            gp3 = np.einsum("z,zi,ze->ie", w, u, ev.nodes[lo:hi], optimize=True)
-            ga = np.tensordot(w, np.matmul(h0, bm), axes=1)
-        return energy, gp3, ga, blocks
 
-    # keep per-chunk temporaries cache-friendly: ~8 MB of (zc, N, N) arrays
-    n2 = max(npts * npts, 1)
-    chunk_z = max(2, min(16, (1 << 20) // n2 + 1))
-    res = parallel.map_reduce(chunk, nz, workers=workers, chunk=chunk_z)
-    return res
+def _sweep(ev, orders, src, src_a, dst, reduce, workers=None, src_group=None, n_groups=1):
+    """map_reduce of reduce(lo, hi, correlations) over chunks of sphere
+    nodes.  The chunk size follows from the network's extent and size
+    only, so chunk boundaries never depend on the worker count."""
+    # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
+    # single loop): correlate their coordinates, map back after the gather
+    _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
+    basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
+    coords = src_a @ basis.T
+    r = len(basis)
+    Ts = src @ ev.nodes.T
+    Td = Ts if dst is src else dst @ ev.nodes.T
+    span = float(np.max(np.maximum(Ts.max(0), Td.max(0)) - np.minimum(Ts.min(0), Td.min(0))))
+    per_node = max(
+        n_groups * r * (span / (GRID_STEP * ev.epsilon) + 2 * KERNEL_CUT / GRID_STEP),
+        4 * (len(src) + len(dst)) * r,
+    )
+    chunk = int(max(1, min(32, CHUNK_BUDGET // per_node)))
+
+    def run(lo, hi):
+        ts = np.ascontiguousarray(Ts[:, lo:hi].T)
+        td = ts if Td is Ts else np.ascontiguousarray(Td[:, lo:hi].T)
+        corr = _correlate(ev, orders, ts, coords, td, src_group, n_groups)
+        shape = (hi - lo, -1, n_groups * 9)
+        return reduce(lo, hi, [(c.reshape(-1, r) @ basis).reshape(shape) for c in corr])
+
+    return parallel.map_reduce(run, len(ev.weights), workers=workers, chunk=chunk)
 
 
 def energy_line(network, ev, rule, workers=None):
@@ -181,14 +245,37 @@ def energy_line(network, ev, rule, workers=None):
     if network.is_empty():
         raise ValueError("energy of an empty network")
     cloud = _GaussCloud(network, rule)
-    _, _, _, blocks = _pair_sums(ev, cloud, want_grad=False, want_blocks=True, workers=workers)
+    n_loops = cloud.n_loops
+    edges = _loop_slices(cloud.loop_of, n_loops)
+
+    def reduce(lo, hi, corr):
+        # phi[k, i, m]: correlation at Gauss point i of loop m's density
+        phi = corr[0].reshape(hi - lo, -1, n_loops, 9)
+        fa = np.matmul(cloud.a9, ev.fk[lo:hi])
+        per_point = np.einsum("k,kic,kimc->im", ev.weights[lo:hi], fa, phi, optimize=True)
+        return (0.5 * np.add.reduceat(per_point, edges[:-1], axis=0),)
+
+    (blocks,) = _sweep(
+        ev, (0,), cloud.points, cloud.a9, cloud.points, reduce, workers, cloud.loop_of, n_loops
+    )
     return EnergyBreakdown(total=float(blocks.sum()), matrix=blocks)
 
 
 def energy_and_gradient(network, ev, rule, workers=None):
     """Discrete energy and its exact gradient with respect to node positions."""
     cloud = _GaussCloud(network, rule)
-    energy, gp3, ga, _ = _pair_sums(ev, cloud, want_grad=True, want_blocks=False, workers=workers)
+    a9 = cloud.a9
+
+    def reduce(lo, hi, corr):
+        w, fk = ev.weights[lo:hi], ev.fk[lo:hi]
+        phi0, phi1 = corr
+        ga = np.tensordot(w, np.matmul(phi0, fk), axes=1)
+        u = np.einsum("ic,kic->ki", a9, np.matmul(phi1, fk), optimize=False)
+        gp3 = (w[:, None] * u).T @ ev.nodes[lo:hi]
+        return ga, gp3
+
+    ga, gp3 = _sweep(ev, (0, 1), cloud.points, a9, cloud.points, reduce, workers)
+    energy = 0.5 * float(np.einsum("ic,ic->", a9, ga, optimize=False))
     grad = np.zeros((cloud.n_nodes, 3))
     # positional channel: Gauss point = (1-xi) x0 + xi x1
     np.add.at(grad, cloud.node0, (1.0 - cloud.xi)[:, None] * gp3)
@@ -198,7 +285,7 @@ def energy_and_gradient(network, ev, rule, workers=None):
     r = cloud.wxi[:, None] * r
     np.add.at(grad, cloud.node1, r)
     np.add.at(grad, cloud.node0, -r)
-    return float(energy), grad
+    return energy, grad
 
 
 def discrete_energy_gradient(network, ev, rule, workers=None):
@@ -206,21 +293,15 @@ def discrete_energy_gradient(network, ev, rule, workers=None):
 
 
 def _node_data(network):
-    nodes, taus, hair, lumped, loop_of = [], [], [], [], []
-    for li, lp in enumerate(network.loops):
+    nodes, taus, hair, lumped, bvec = [], [], [], [], []
+    for lp in network.loops:
         t, h = lp.node_tangents()
         nodes.append(lp.nodes)
         taus.append(t)
         hair.append(h)
         lumped.append(lp.lumped_lengths())
-        loop_of.append(np.full(len(lp), li))
-    return (
-        np.concatenate(nodes),
-        np.concatenate(taus),
-        np.concatenate(hair),
-        np.concatenate(lumped),
-        np.concatenate(loop_of),
-    )
+        bvec.append(np.broadcast_to(lp.burgers.cartesian, (len(lp), 3)))
+    return tuple(np.concatenate(x) for x in (nodes, taus, hair, lumped, bvec))
 
 
 def pk_force(network, ev, rule, workers=None):
@@ -234,156 +315,48 @@ def pk_force(network, ev, rule, workers=None):
     if network.is_empty():
         raise ValueError("force on an empty network")
     cloud = _GaussCloud(network, rule)
-    xn, taus, hair, lumped, loop_of = _node_data(network)
-    prof = ev.profile
-    Tn = xn @ ev.nodes.T
-    Tg = cloud.points @ ev.nodes.T
-    nz = len(ev.weights)
-    loop_b = [lp.burgers.cartesian for lp in network.loops]
-    starts = _loop_slices(loop_of, network.n_loops)
+    xn, taus, hair, lumped, bvec = _node_data(network)
 
-    def chunk(lo, hi):
-        G = np.zeros((len(xn), 3))
-        for k in range(lo, hi):
-            w = ev.weights[k]
-            z = ev.nodes[k]
-            fkz = ev.fk[k].reshape(3, 3, 3, 3)  # (a, l) x (c, d)
-            h1 = eta(prof, Tn[:, k][:, None] - Tg[None, :, k], 1)
-            for li in range(network.n_loops):
-                fb = np.einsum("alcd,a->lcd", fkz, loop_b[li], optimize=False)
-                q = cloud.a9 @ fb.reshape(3, 9).T  # (Ngauss, 3)
-                rows = slice(starts[li], starts[li + 1])
-                u = h1[rows] @ q
-                G[rows] += w * np.cross(u, z)
-        return (G,)
+    def reduce(lo, hi, corr):
+        # u_l = b_a F_(al)(cd) phi'_cd at each node, with its own loop's b
+        fphi = np.matmul(corr[0], ev.fk[lo:hi]).reshape(hi - lo, -1, 3, 3)
+        u = np.einsum("kial,ia->kil", fphi, bvec, optimize=False)
+        uz = np.cross(u, ev.nodes[lo:hi, None, :])
+        return (np.tensordot(ev.weights[lo:hi], uz, axes=1),)
 
-    (G,) = parallel.map_reduce(chunk, nz, workers=workers)
+    (G,) = _sweep(ev, (1,), cloud.points, cloud.a9, xn, reduce, workers)
     density = np.cross(taus, G)
     return ForceField(density=density, lumped=lumped, G=G, tangents=taus, hairpin=hair)
 
 
-def _surface_cloud(surfaces, points):
-    if points not in (1, 3):
-        raise ValueError("triangle rule supports 1 or 3 points")
+def _surface_cloud(surfaces):
+    """Midedge 3-point rule: points and weighted b (x) n densities."""
     pts, a9 = [], []
     for surf in surfaces:
         tri = surf.triangles
-        b = surf.slip.cartesian
-        bn = np.einsum("a,tm->tam", b, surf.normals).reshape(-1, 9)
-        if points == 1:
-            q = tri.mean(axis=1)
-            w = surf.areas
-            pts.append(q)
-            a9.append(bn * w[:, None])
-        else:
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                pts.append(0.5 * (tri[:, i] + tri[:, j]))
-                a9.append(bn * (surf.areas / 3.0)[:, None])
+        bn = np.einsum("a,tm->tam", surf.slip.cartesian, surf.normals).reshape(-1, 9)
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            pts.append(0.5 * (tri[:, i] + tri[:, j]))
+            a9.append(bn * (surf.areas / 3.0)[:, None])
     return np.concatenate(pts), np.concatenate(a9)
 
 
-def energy_surface(surfaces, ev, points=3, workers=None, method="auto"):
+def energy_surface(surfaces, ev, workers=None):
     """Slip energy as the double surface integral of the J kernel.
 
     `surfaces` span the network's loops; cross terms between surfaces are
-    included.  The midedge 3-point rule (default) is exact for quadratic
-    integrands per triangle pair; triangles should be comparable to the
-    core scale for the kernel to be resolved (see SpanningSurface
-    refinement helpers).
-
-    method: "pair" sums all quadrature-point pairs exactly; "mesh"
-    evaluates the same sum per sphere node as a gridded 1-D correlation
-    (quadratic deposit/gather at eps/32 spacing, linear cost in the
-    point count); "auto" picks "mesh" for large clouds.
+    included.  The midedge 3-point rule is exact for quadratic integrands
+    per triangle pair; triangles should be comparable to the core scale
+    for the kernel to be resolved (see SpanningSurface refinement
+    helpers).
     """
-    P, a9 = _surface_cloud(surfaces, points)
-    if method == "auto":
-        method = "mesh" if len(P) > 1200 else "pair"
-    if method == "mesh":
-        return _energy_mesh(ev, P, a9, workers)
-    if method != "pair":
-        raise ValueError(f"unknown method {method!r}")
-    eps = ev.profile.epsilon
-    amp = N_PHI / eps
-    T = P @ ev.nodes.T
-    a9t = np.ascontiguousarray(a9.T)
-    nz = len(ev.weights)
-    npts = len(a9)
+    P, a9 = _surface_cloud(surfaces)
 
-    def chunk(lo, hi):
-        w = ev.weights[lo:hi]
-        tc = np.ascontiguousarray(T[:, lo:hi].T)
-        d = tc[:, :, None] - tc[:, None, :]
-        d *= 1.0 / (2.0 * eps * eps)
-        h2 = d * d  # (t^2/(4 eps^4))
-        g = np.exp(-(eps * eps) * h2)  # exp(-t^2/(4 eps^2))
-        h2 -= 1.0 / (2.0 * eps * eps)
-        h2 *= g
-        h2 *= amp  # eta''
-        bm = np.matmul(a9[None, :, :], ev.fj[lo:hi])
-        gmat = np.matmul(bm, a9t[None, :, :])
-        gmat *= h2
-        return (0.5 * float(w @ gmat.sum(axis=(1, 2))),)
+    def reduce(lo, hi, corr):
+        fphi = np.matmul(corr[0], ev.fj[lo:hi])
+        return (0.5 * np.einsum("k,ic,kic->", ev.weights[lo:hi], a9, fphi, optimize=True),)
 
-    n2 = max(npts * npts, 1)
-    chunk_z = max(2, min(16, (1 << 20) // n2 + 1))
-    (energy,) = parallel.map_reduce(chunk, nz, workers=workers, chunk=chunk_z)
-    return float(energy)
-
-
-def _quadratic_deposit(p, lo, dx, m):
-    """Quadratic B-spline assignment: indices and weights, both (n, 3)."""
-    x = (p - lo) / dx
-    i0 = np.rint(x).astype(np.int64)
-    f = x - i0
-    w = np.stack([0.5 * (0.5 - f) ** 2, 0.75 - f * f, 0.5 * (0.5 + f) ** 2], axis=1)
-    idx = np.stack([i0 - 1, i0, i0 + 1], axis=1)
-    return np.clip(idx, 0, m - 1), w
-
-
-def _energy_mesh(ev, P, a9, workers=None):
-    """Pair sum per sphere node as a 1-D correlation in p = z.x:
-    quadratic deposit onto a uniform grid, FFT convolution with eta'',
-    gather back at the points."""
-    eps = ev.profile.epsilon
-    prof = ev.profile
-    dx = eps / 32.0
-    pad = 16.0 * eps
-    half = int(np.ceil(pad / dx))
-    T = P @ ev.nodes.T
-    nz = len(ev.weights)
-
-    def chunk(lo, hi):
-        energy = 0.0
-        for k in range(lo, hi):
-            p = T[:, k]
-            glo = p.min() - pad
-            m = int(np.ceil((p.max() + pad - glo) / dx)) + 3
-            nfft = 1 << int(np.ceil(np.log2(m + 2 * half + 3)))
-            idx, w = _quadratic_deposit(p, glo, dx, m)
-            flat = idx.ravel()
-            rho = np.empty((9, nfft))
-            for c in range(9):
-                rho[c] = np.bincount(
-                    flat, weights=(w * a9[:, c : c + 1]).ravel(), minlength=nfft
-                )[:nfft]
-            toff = np.arange(-half, half + 1) * dx
-            ker = np.zeros(nfft)
-            ker[: half + 1] = eta(prof, toff[half:], 2)
-            ker[-half:] = eta(prof, toff[:half], 2)
-            kf = np.fft.rfft(ker)
-            # deconvolve the quadratic-spline assignment (applied twice)
-            f = np.arange(len(kf)) / nfft
-            kf /= np.sinc(f) ** 6
-            conv = np.fft.irfft(np.fft.rfft(rho, axis=1) * kf[None, :], n=nfft, axis=1)
-            gathered = (conv[:, idx] * w[None, :, :]).sum(axis=2)  # (9, n)
-            bm = a9 @ ev.fj[k]
-            energy += 0.5 * ev.weights[k] * float(
-                np.einsum("cn,nc->", gathered, bm, optimize=False)
-            )
-        return (energy,)
-
-    (energy,) = parallel.map_reduce(chunk, nz, workers=workers, chunk=32)
+    (energy,) = _sweep(ev, (2,), P, a9, P, reduce, workers)
     return float(energy)
 
 
@@ -395,22 +368,18 @@ def pk_force_surface_form(loop, surface, ev):
     Returns G at the loop nodes.
     """
     b = loop.burgers.cartesian
-    P, a9 = _surface_cloud([surface], 3)
-    prof = ev.profile
-    xn = loop.nodes
-    Tn = xn @ ev.nodes.T
-    Tg = P @ ev.nodes.T
-    G = np.zeros((len(xn), 3))
-    for k in range(len(ev.weights)):
-        w = ev.weights[k]
-        z = ev.nodes[k]
-        fkz = ev.fk[k].reshape(3, 3, 3, 3)
+    P, a9 = _surface_cloud([surface])
+
+    def reduce(lo, hi, corr):
+        z = ev.nodes[lo:hi]
+        fkz = ev.fk[lo:hi].reshape(-1, 3, 3, 3, 3)
         # P_kcf = A_def A_klm fk_alcd b_a z_m z_e
         pk = np.einsum(
-            "def,klm,alcd,a,m,e->kcf", ALTERNATING, ALTERNATING, fkz, b, z, z, optimize=True
+            "def,klm,nalcd,a,nm,ne->nkcf", ALTERNATING, ALTERNATING, fkz, b, z, z, optimize=True
         )
-        h2 = eta(prof, Tn[:, k][:, None] - Tg[None, :, k], 2)
-        G += w * (h2 @ a9) @ pk.reshape(3, 9).T
+        return (np.einsum("n,nkx,nsx->sk", ev.weights[lo:hi], pk.reshape(-1, 3, 9), corr[0]),)
+
+    (G,) = _sweep(ev, (2,), P, a9, loop.nodes, reduce)
     return G
 
 

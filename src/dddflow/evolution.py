@@ -277,20 +277,26 @@ def _bound_ratios(network, model, vf, f_inf, mass_now, theta, t_now, mass0):
     )
 
 
-def step(state, dt, ev, model, rule, policy, mass0=None, energy_cache=None):
+def _energy_force_velocity(net, ev, model, rule):
+    energy, grad = energy_and_gradient(net, ev, rule)
+    lumped = _lumped_all(net)
+    return energy, grad, solve_velocity(net, -grad / lumped[:, None], model)
+
+
+def step(state, dt, ev, model, rule, policy, mass0=None, precomputed=None):
     """One explicit step: force, velocity, push, remesh, annihilate.
 
     dt may be 0, in which case only diagnostics are appended.  Returns
     the new state; termination conditions are recorded on it.
+    `precomputed` is (energy, grad, velocity field) of the current
+    network, as `run` already has them from choosing dt.
     """
     net = state.network
     eps = net.epsilon
-    energy, grad = (
-        energy_cache if energy_cache is not None else energy_and_gradient(net, ev, rule)
-    )
-    lumped = _lumped_all(net)
-    f_density = -grad / lumped[:, None]
-    vf = solve_velocity(net, f_density, model)
+    if precomputed is None:
+        precomputed = _energy_force_velocity(net, ev, model, rule)
+    energy, grad, vf = precomputed
+    f_density = -grad / _lumped_all(net)[:, None]
     m_now = mass(net)
     theta = mass_ratio(net)
     if mass0 is None:
@@ -374,15 +380,14 @@ def run(network, ev, model, rule, policy, snapshot_cb=None):
     istep = 0
     while policy.t_end - state.time > policy.dt_min:
         net = state.network
-        energy, grad = energy_and_gradient(net, ev, rule)
-        lumped = _lumped_all(net)
-        vf = solve_velocity(net, -grad / lumped[:, None], model)
+        solved = _energy_force_velocity(net, ev, model, rule)
+        vf = solved[2]
         dt = policy.choose_dt(net.epsilon, vf.v_inf, vf.dv_inf, policy.t_end - state.time)
         if dt < policy.dt_min:
             state.log_event("dt_floor", dt=dt)
             state.termination = "dt_floor"
             break
-        state = step(state, dt, ev, model, rule, policy, mass0=mass0, energy_cache=(energy, grad))
+        state = step(state, dt, ev, model, rule, policy, mass0=mass0, precomputed=solved)
         istep += 1
         if snapshot_cb is not None and istep % policy.snapshot_every == 0:
             snapshot_cb(istep, state)

@@ -8,10 +8,11 @@ tensor) against a Gaussian line profile eta and its derivatives:
     dK/ds_e   = sum_z w_z FK(z) z_e eta'(z.s)
     J(s)      = sum_z w_z FJ(z) eta''(z.s)
 
-The factors FK, FJ are independent of s and cached per node; sign and
-amplitude conventions are fixed against the real-space convolution
-definition, implemented here as `eval_K_direct` (isotropic stiffness
-only) and used as the verification oracle.
+All of them are one weighted sphere sum, `sphere_sum`.  The factors
+FK, FJ are independent of s and cached per node; sign and amplitude
+conventions are fixed against the real-space convolution definition,
+implemented here as `eval_K_direct` (isotropic stiffness only) and used
+as the verification oracle.
 
 The integrand's angular bandwidth grows like |s|/eps, so the default
 24 x 48 product rule is reliable for |s| up to roughly 10 eps; use
@@ -32,12 +33,10 @@ __all__ = [
     "KernelEvaluator",
     "DecayCheckReport",
     "eta",
+    "sphere_sum",
     "eval_K",
-    "eval_K_many",
     "eval_gradK",
-    "eval_d2K",
     "eval_J",
-    "eval_J_many",
     "eval_K_direct",
     "decay_bound_scan",
     "polar_order_for",
@@ -260,10 +259,8 @@ class KernelEvaluator:
         self.nodes = quadrature.nodes
         self.weights = quadrature.weights
         self.fk = _k_factor_stack(elasticity, self.nodes)
-        self._fk81 = self.fk.reshape(-1, 81)
+        self.fk.setflags(write=False)
         self._fj_cache = None
-        for arr in (self.fk, self._fk81):
-            arr.setflags(write=False)
 
     @property
     def fj(self):
@@ -275,10 +272,6 @@ class KernelEvaluator:
         return self._fj_cache
 
     @property
-    def _fj81(self):
-        return self.fj.reshape(-1, 81)
-
-    @property
     def epsilon(self):
         return self.profile.epsilon
 
@@ -286,70 +279,38 @@ class KernelEvaluator:
         return KernelEvaluator(self.elasticity, self.profile, quadrature)
 
 
+def sphere_sum(ev, S, order=0, factor=None, directions=None):
+    """Weighted sphere sum sum_z w_z F(z) eta^(order)(z.s) prod_d (z.d) at a
+    batch of points, shape (m, 3, 3, 3, 3).
+
+    `factor` defaults to ev.fk (the K family); pass ev.fj with order 2
+    for J.  `directions` (order vectors) contracts the derivative indices
+    of D^order K; without them the profile derivative enters bare.
+    """
+    T = np.atleast_2d(np.asarray(S, dtype=float)) @ ev.nodes.T
+    W = eta(ev.profile, T, order) * ev.weights
+    if directions is not None:
+        if len(directions) != order:
+            raise ValueError("need one direction per derivative order")
+        for d in directions:
+            W = W * (ev.nodes @ np.asarray(d, dtype=float))
+    F = ev.fk if factor is None else factor
+    return (W @ F.reshape(-1, 81)).reshape(-1, 3, 3, 3, 3)
+
+
 def eval_K(ev, s):
     """K(s) as a (3,3,3,3) tensor; smooth for every s including 0."""
-    t = ev.nodes @ np.asarray(s, dtype=float)
-    w = ev.weights * eta(ev.profile, t, 0)
-    return (w @ ev._fk81).reshape(3, 3, 3, 3)
-
-
-def eval_K_many(ev, S):
-    """K at a batch of points, shape (m, 3, 3, 3, 3)."""
-    T = np.asarray(S, dtype=float) @ ev.nodes.T
-    W = eta(ev.profile, T, 0) * ev.weights[None, :]
-    return (W @ ev._fk81).reshape(-1, 3, 3, 3, 3)
+    return sphere_sum(ev, s)[0]
 
 
 def eval_gradK(ev, s):
     """dK_abcd/ds_e at s, shape (3,3,3,3,3) with the derivative index last."""
-    t = ev.nodes @ np.asarray(s, dtype=float)
-    w = ev.weights * eta(ev.profile, t, 1)
-    g = np.einsum("nx,ne->xe", ev._fk81 * w[:, None], ev.nodes, optimize=False)
-    return g.reshape(3, 3, 3, 3, 3)
-
-
-def eval_gradK_many(ev, S):
-    T = np.asarray(S, dtype=float) @ ev.nodes.T
-    W = eta(ev.profile, T, 1) * ev.weights[None, :]
-    g = np.einsum("mn,nx,ne->mxe", W, ev._fk81, ev.nodes, optimize=True)
-    return g.reshape(-1, 3, 3, 3, 3, 3)
-
-
-def eval_d2K(ev, s):
-    """Second derivative tensor, shape (3,3,3,3,3,3), derivative indices last."""
-    t = ev.nodes @ np.asarray(s, dtype=float)
-    w = ev.weights * eta(ev.profile, t, 2)
-    zz = np.einsum("ne,nf->nef", ev.nodes, ev.nodes, optimize=False)
-    g = np.einsum("nx,nef->xef", ev._fk81 * w[:, None], zz, optimize=False)
-    return g.reshape(3, 3, 3, 3, 3, 3)
+    return np.stack([sphere_sum(ev, s, 1, directions=[e])[0] for e in np.eye(3)], axis=-1)
 
 
 def eval_J(ev, s):
     """J(s) as a (3,3,3,3) tensor."""
-    t = ev.nodes @ np.asarray(s, dtype=float)
-    w = ev.weights * eta(ev.profile, t, 2)
-    return (w @ ev._fj81).reshape(3, 3, 3, 3)
-
-
-def eval_J_many(ev, S):
-    T = np.asarray(S, dtype=float) @ ev.nodes.T
-    W = eta(ev.profile, T, 2) * ev.weights[None, :]
-    return (W @ ev._fj81).reshape(-1, 3, 3, 3, 3)
-
-
-def dirderiv_K(ev, s, directions):
-    """m-th derivative of K contracted with m direction vectors.
-
-    Returns the (3,3,3,3) tensor D^m K(s)[w_1, ..., w_m] where m is the
-    number of rows of `directions` (0, 1 or 2).
-    """
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float)) if len(directions) else np.zeros((0, 3))
-    m = len(dirs)
-    t = ev.nodes @ np.asarray(s, dtype=float)
-    w = ev.weights * eta(ev.profile, t, m)
-    for d in dirs:
-        w = w * (ev.nodes @ d)
-    return (w @ ev._fk81).reshape(3, 3, 3, 3)
+    return sphere_sum(ev, s, 2, ev.fj)[0]
 
 
 class DecayCheckReport:
@@ -421,7 +382,7 @@ def decay_bound_scan(ev, m, j, n_radii=40, r_min_eps=1e-2, r_max_eps=1e3, seed=0
             evr = buckets[key]
             s = r * d
             dirs = tangentials + [d] * (m - j)
-            val = np.abs(dirderiv_K(evr, s, dirs)).max()
+            val = np.abs(sphere_sum(evr, s, m, directions=dirs)).max()
             denom = np.sqrt(eps ** (2 * m + 2) + eps ** (2 * j) * r ** (2 * m + 2 - 2 * j))
             ratio = val * denom
             by_radius[ridx] = max(by_radius[ridx], val)

@@ -106,16 +106,17 @@ def kernel_table_csv(ev, points, include_grad=False):
     fastest; gradient columns dK_abcd_e append the derivative index
     fastest of all.
     """
-    from .kernels import eval_K_many, eval_gradK_many
+    from .kernels import sphere_sum
 
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     header = ["s_x", "s_y", "s_z"]
     header += [f"K_{a + 1}{b + 1}{c + 1}{d + 1}" for a, b, c, d in _IDX4]
-    K = eval_K_many(ev, points).reshape(-1, 81)
+    K = sphere_sum(ev, points).reshape(-1, 81)
     blocks = [points, K]
     if include_grad:
         header += [f"dK_{a + 1}{b + 1}{c + 1}{d + 1}_{e + 1}" for a, b, c, d in _IDX4 for e in range(3)]
-        blocks.append(eval_gradK_many(ev, points).reshape(-1, 243))
+        dK = [sphere_sum(ev, points, 1, directions=[e]).reshape(-1, 81) for e in np.eye(3)]
+        blocks.append(np.stack(dK, axis=-1).reshape(-1, 243))
     data = np.concatenate(blocks, axis=1)
     lines = [",".join(header)]
     for row in data:

@@ -214,3 +214,8 @@ def test_cli_check_nphi_perturbation(capsys):
     code = cli.main(["check", "--only", "oracle_equivalence", "--nphi-scale", "1.1"])
     assert code == 3
     assert "FAIL" in capsys.readouterr().out
+    # the scaled K factor must also reach the line energy's correlation
+    # path, which the unscaled J surface energies then disagree with
+    code = cli.main(["check", "--only", "surface_independence", "--nphi-scale", "1.1"])
+    assert code == 3
+    assert "FAIL" in capsys.readouterr().out

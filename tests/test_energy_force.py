@@ -139,21 +139,9 @@ def test_surface_energy_orientation_invariance(lat):
     loop = SH.circle_loop(lat, 1.0, 24)
     s1 = GE.make_planar_surface(loop).split_radial()
     s2 = GE.make_planar_surface(loop.reversed()).split_radial()
-    e1 = EF.energy_surface([s1], ev, method="pair")
-    e2 = EF.energy_surface([s2], ev, method="pair")
+    e1 = EF.energy_surface([s1], ev)
+    e2 = EF.energy_surface([s2], ev)
     assert e1 == pytest.approx(e2, rel=1e-12)
-
-
-def test_surface_mesh_matches_pair(lat):
-    eps = 0.25
-    ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(eps))
-    loop = SH.circle_loop(lat, 1.0, 24)
-    surf = GE.make_planar_surface(loop).split_radial()
-    ep = EF.energy_surface([surf], ev, method="pair")
-    em = EF.energy_surface([surf], ev, method="mesh")
-    assert em == pytest.approx(ep, rel=1e-6)
-    with pytest.raises(ValueError):
-        EF.energy_surface([surf], ev, method="bogus")
 
 
 def test_surface_form_force_cross_check(lat, rule4):

@@ -103,11 +103,16 @@ def test_gradK_zero_at_origin(ev_unit):
 def test_d2K_matches_finite_differences(ev_unit, rng):
     s = rng.normal(size=3)
     h = 1e-5
-    d2 = KN.eval_d2K(ev_unit, s)
+    E = np.eye(3)
+    d2 = np.stack(
+        [np.stack([KN.sphere_sum(ev_unit, s, 2, directions=[a, b])[0] for b in E], -1) for a in E], -1
+    )  # (3,3,3,3, f, e)
     for e in range(3):
-        step = h * np.eye(3)[e]
+        step = h * E[e]
         fd = (KN.eval_gradK(ev_unit, s + step) - KN.eval_gradK(ev_unit, s - step)) / (2 * h)
         assert np.abs(fd - d2[..., e]).max() <= 1e-6 * np.abs(d2).max()
+    with pytest.raises(ValueError):
+        KN.sphere_sum(ev_unit, s, 2, directions=[E[0]])
 
 
 def test_J_uniform_bound(ev_unit, rng):
@@ -121,9 +126,9 @@ def test_J_uniform_bound(ev_unit, rng):
 
 def test_batched_evaluations_match_single(ev_unit, rng):
     S = rng.normal(size=(7, 3))
-    Km = KN.eval_K_many(ev_unit, S)
-    Jm = KN.eval_J_many(ev_unit, S)
-    Gm = KN.eval_gradK_many(ev_unit, S)
+    Km = KN.sphere_sum(ev_unit, S)
+    Jm = KN.sphere_sum(ev_unit, S, 2, ev_unit.fj)
+    Gm = np.stack([KN.sphere_sum(ev_unit, S, 1, directions=[e]) for e in np.eye(3)], axis=-1)
     for i, s in enumerate(S):
         assert np.allclose(Km[i], KN.eval_K(ev_unit, s), rtol=1e-13, atol=1e-300)
         assert np.allclose(Jm[i], KN.eval_J(ev_unit, s), rtol=1e-13, atol=1e-300)
