@@ -6,6 +6,7 @@ all defaults filled in, and load(dump(load(x))) is the identity.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import elasticity, kernels, mobility
@@ -29,7 +30,6 @@ _DEFAULTS = {
     "theta_max": 50.0,
     "annihilation_kappa": 3.0,
     "output": {"every": 10},
-    "seed": 0,
 }
 
 
@@ -39,9 +39,13 @@ def _require_keys(data, allowed, path):
             raise ConfigError(f"unknown key {path}{key!r}")
 
 
+def _finite_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _positive(value, key):
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        raise ConfigError(f"{key!r} must be a positive number, got {value!r}")
+    if not (_finite_number(value) and value > 0):
+        raise ConfigError(f"{key!r} must be a positive finite number, got {value!r}")
     return float(value)
 
 
@@ -118,14 +122,14 @@ def _validate_elasticity(block):
         _require_keys(iso, {"lambda", "mu"}, "elasticity.isotropic.")
         lam = iso.get("lambda", 1.0)
         mu = _positive(iso.get("mu", 1.0), "elasticity.isotropic.mu")
-        if not isinstance(lam, (int, float)) or isinstance(lam, bool):
-            raise ConfigError("'elasticity.isotropic.lambda' must be a number")
+        if not _finite_number(lam):
+            raise ConfigError("'elasticity.isotropic.lambda' must be a finite number")
         if not lam + 2 * mu > 0:
             raise ConfigError("'elasticity.isotropic.lambda' violates lambda + 2*mu > 0")
         return {"isotropic": {"lambda": float(lam), "mu": mu}}
     full = block["full"]
-    if not isinstance(full, list) or len(full) != 81:
-        raise ConfigError("'elasticity.full' must be a list of 81 numbers")
+    if not isinstance(full, list) or len(full) != 81 or not all(map(_finite_number, full)):
+        raise ConfigError("'elasticity.full' must be a list of 81 finite numbers")
     return {"full": [float(v) for v in full]}
 
 
@@ -199,7 +203,6 @@ def loads_config(text):
     out.update(out_in)
     out["every"] = _nonneg_int(out["every"], "output.every") or 1
     data["output"] = out
-    data["seed"] = _nonneg_int(raw.get("seed", 0), "seed")
     return SimulationConfig(data)
 
 

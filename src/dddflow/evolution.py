@@ -277,10 +277,21 @@ def _bound_ratios(network, model, vf, f_inf, mass_now, theta, t_now, mass0):
     )
 
 
-def _energy_force_velocity(net, ev, model, rule):
+def _require_finite(phase, value, state):
+    if not np.isfinite(value).all():
+        raise SolverError(f"non-finite {phase} at step {len(state.diagnostics)}")
+
+
+def _energy_force_velocity(state, ev, model, rule):
+    """Energy, gradient and velocity of the state's network; a non-finite
+    value stops the run, naming its phase and the step."""
+    net = state.network
     energy, grad = energy_and_gradient(net, ev, rule)
-    lumped = _lumped_all(net)
-    return energy, grad, solve_velocity(net, -grad / lumped[:, None], model)
+    _require_finite("energy", energy, state)
+    _require_finite("gradient", grad, state)
+    vf = solve_velocity(net, -grad / _lumped_all(net)[:, None], model)
+    _require_finite("velocity", vf.v, state)
+    return energy, grad, vf
 
 
 def step(state, dt, ev, model, rule, policy, mass0=None, precomputed=None):
@@ -294,7 +305,7 @@ def step(state, dt, ev, model, rule, policy, mass0=None, precomputed=None):
     net = state.network
     eps = net.epsilon
     if precomputed is None:
-        precomputed = _energy_force_velocity(net, ev, model, rule)
+        precomputed = _energy_force_velocity(state, ev, model, rule)
     energy, grad, vf = precomputed
     f_density = -grad / _lumped_all(net)[:, None]
     m_now = mass(net)
@@ -380,7 +391,7 @@ def run(network, ev, model, rule, policy, snapshot_cb=None):
     istep = 0
     while policy.t_end - state.time > policy.dt_min:
         net = state.network
-        solved = _energy_force_velocity(net, ev, model, rule)
+        solved = _energy_force_velocity(state, ev, model, rule)
         vf = solved[2]
         dt = policy.choose_dt(net.epsilon, vf.v_inf, vf.dv_inf, policy.t_end - state.time)
         if dt < policy.dt_min:

@@ -102,6 +102,8 @@ class Loop:
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 3 or len(nodes) < 3:
             raise GeometryError("a loop needs at least 3 nodes of dimension 3")
+        if not np.isfinite(nodes).all():
+            raise GeometryError("loop nodes must be finite")
         seg = np.roll(nodes, -1, axis=0) - nodes
         lengths = np.linalg.norm(seg, axis=1)
         if lengths.min() <= MIN_SEGMENT:
@@ -152,8 +154,8 @@ class DislocationNetwork:
     """Finite union of loops sharing one lattice, with a target core scale."""
 
     def __init__(self, lattice, loops, epsilon):
-        if not epsilon > 0:
-            raise GeometryError("epsilon must be positive")
+        if not 0 < epsilon < np.inf:
+            raise GeometryError(f"epsilon must be positive and finite, got {epsilon!r}")
         loops = tuple(loops)
         for lp in loops:
             if lp.burgers.lattice != lattice:
@@ -203,21 +205,31 @@ def mass(network):
 def _clip_lengths(starts, vecs, seg_len, centers, radii):
     """Length of each segment inside each ball: shape (n_centers, m, k).
 
-    radii has one row of candidate radii per center.
+    radii has one row of candidate radii per center.  The (c, m, k)
+    arrays are updated in place: fresh temporaries of that size per step
+    cost more than the arithmetic.
     """
     rel = starts[None, :, :] - centers[:, None, :]  # (c, m, 3)
     a = np.einsum("md,md->m", vecs, vecs)
-    b = 2.0 * np.einsum("cmd,md->cm", rel, vecs)
+    b = 2.0 * np.einsum("cmd,md->cm", rel, vecs)[:, :, None]
     c0 = np.einsum("cmd,cmd->cm", rel, rel)
-    c = c0[:, :, None] - (radii**2)[:, None, :]
-    disc = (b**2)[:, :, None] - 4.0 * a[None, :, None] * c
+    # disc = b^2 - 4 a (|rel|^2 - r^2)
+    disc = c0[:, :, None] - (radii**2)[:, None, :]
+    disc *= 4.0 * a[None, :, None]
+    np.subtract(b**2, disc, out=disc)
     ok = disc > 0.0
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    t1 = (-b[:, :, None] - sq) / (2.0 * a[None, :, None])
-    t2 = (-b[:, :, None] + sq) / (2.0 * a[None, :, None])
-    frac = np.clip(t2, 0.0, 1.0) - np.clip(t1, 0.0, 1.0)
-    frac = np.where(ok, np.maximum(frac, 0.0), 0.0)
-    return frac * seg_len[None, :, None]
+    sq = np.sqrt(np.where(ok, disc, 0.0), out=disc)
+    two_a = 2.0 * a[None, :, None]
+    t1 = np.subtract(-b, sq)
+    t1 /= two_a
+    t2 = np.add(-b, sq, out=sq)
+    t2 /= two_a
+    frac = np.clip(t2, 0.0, 1.0, out=t2)
+    frac -= np.clip(t1, 0.0, 1.0, out=t1)
+    np.maximum(frac, 0.0, out=frac)
+    frac[~ok] = 0.0
+    frac *= seg_len[None, :, None]
+    return frac
 
 
 def mass_ratio(network):
@@ -248,6 +260,10 @@ def mass_ratio(network):
     nodes = starts
     centers = nodes
     best = 0.0
+    # 16 MB blocks: freeing them raises glibc's dynamic mmap threshold, so
+    # the correlation engine's ~1 MB per-chunk arrays are reused from the
+    # heap; with cache-sized blocks here they were unmapped and faulted in
+    # again every chunk (energy_and_gradient 40-100% slower, 2-core x86 VM)
     block = max(1, int(2e6 / max(len(nodes) * len(seg_len), 1)))
     for lo in range(0, len(centers), block):
         cb = centers[lo : lo + block]

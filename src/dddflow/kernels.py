@@ -50,13 +50,10 @@ class MollifierProfile:
     whose amplitude is fixed by oracle calibration (see calibration.py).
     """
 
-    def __init__(self, epsilon, kind="gaussian"):
+    def __init__(self, epsilon):
         if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if kind != "gaussian":
-            raise ValueError(f"unsupported mollifier kind: {kind!r}")
         self.epsilon = float(epsilon)
-        self.kind = kind
 
 
 def eta(profile, t, order=0):
@@ -247,7 +244,6 @@ class KernelEvaluator:
 
     Holds the spherical rule plus the precontracted per-node factors, so
     each evaluation is one profile sweep and one weighted contraction.
-    Safe to share across workers.
     """
 
     def __init__(self, elasticity, profile, quadrature=None):

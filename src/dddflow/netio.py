@@ -48,10 +48,13 @@ def network_from_dict(data):
             raise ConfigError(f"unknown network key {key!r}")
     try:
         lattice = Lattice(np.asarray(data["lattice"], dtype=float))
-        loops = [
-            Loop(np.asarray(lp["nodes"], dtype=float), BurgersVector(lattice, lp["burgers"]))
-            for lp in data["loops"]
-        ]
+        loops = []
+        for i, lp in enumerate(data["loops"]):
+            try:
+                nodes = np.asarray(lp["nodes"], dtype=float)
+                loops.append(Loop(nodes, BurgersVector(lattice, lp["burgers"])))
+            except (KeyError, TypeError, ValueError, GeometryError) as exc:
+                raise ConfigError(f"malformed network: loop {i}: {exc}") from exc
         return DislocationNetwork(lattice, loops, float(data["epsilon"]))
     except (KeyError, TypeError, ValueError, GeometryError) as exc:
         raise ConfigError(f"malformed network: {exc}") from exc
@@ -120,7 +123,7 @@ def kernel_table_csv(ev, points, include_grad=False):
     data = np.concatenate(blocks, axis=1)
     lines = [",".join(header)]
     for row in data:
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,7 @@ Criteria (tolerances pinned in dddflow.checks):
   7 gradient_flow            monotone energy; dissipation order >= 1.9; radius
   8 mass_ratio               theta in [0.99 pi, pi]; theta >= 1 - 1e-6
   9 monitored_bounds         held-out suite ratios <= 1 with calibrated C
- 10 determinism              byte-identical diagnostics, DDD_THREADS in {1, 8}
+ 10 determinism              byte-identical diagnostics from two fresh runs
 
 `kernel_self_convergence` is the supplementary suite used by the check
 CLI to catch degraded quadrature settings.

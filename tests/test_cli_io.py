@@ -34,6 +34,11 @@ def test_minimal_config_fills_defaults():
         ("not json", "JSON"),
         ("[1,2]", "object"),
         ('{"quadrature": {}}', "epsilon"),
+        ('{"epsilon": 0.1, "seed": 0}', "seed"),
+        ('{"epsilon": Infinity}', "epsilon"),
+        ('{"epsilon": 0.1, "stepping": {"dt_max": NaN}}', "stepping.dt_max"),
+        ('{"epsilon": 0.1, "elasticity": {"isotropic": {"lambda": Infinity}}}', "lambda"),
+        ('{"epsilon": 0.1, "elasticity": {"full": ["a"' + ", 0" * 80 + "]}}", "elasticity.full"),
     ],
 )
 def test_config_errors_name_the_key(text, needle):
@@ -85,6 +90,20 @@ def test_network_format_validation(tmp_path):
         netio.network_from_dict(
             {"format": "ddd-net/1", "epsilon": 1.0, "lattice": np.eye(3).tolist(), "loops": [], "x": 1}
         )
+    # JSON's NaN and Infinity literals load as floats: reject them, naming the loop or key
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text('{"epsilon": 0.1}')
+    lattice = json.dumps(np.eye(3).tolist())
+    for eps, z, needle in (("0.1", "NaN", "loop 1: loop nodes must be finite"), ("Infinity", "0", "epsilon")):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            f'{{"format": "ddd-net/1", "epsilon": {eps}, "lattice": {lattice}, "loops": ['
+            '{"burgers": [0, 0, 1], "nodes": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]}, '
+            f'{{"burgers": [0, 0, 1], "nodes": [[0, 0, 0], [1, 0, 0], [1, 1, {z}]]}}]}}'
+        )
+        with pytest.raises(ConfigError, match=needle):
+            netio.load_network(path)
+        assert cli.main(["energy", "--input", str(path), "--config", str(cfgpath)]) == 2
 
 
 def test_diagnostics_csv_columns():

@@ -224,3 +224,21 @@ def test_oversized_segments_warn(lat, ev_quarter, rule4):
         W.simplefilter("always")
         EF.energy_line(coarse, ev_quarter, rule4)
     assert any("epsilon" in str(r.message) for r in rec)
+
+
+def test_chunk_sum_independent_of_chunk_size(three_loop_net, iso11, rule4, monkeypatch):
+    # every sphere node its own chunk against the default chunking: the
+    # in-order sum of per-chunk partials must reproduce every field
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.25), KN.SphericalQuadrature.product_rule(8, 16))
+
+    def fields():
+        energy, grad = EF.energy_and_gradient(three_loop_net, ev, rule4)
+        matrix = EF.energy_line(three_loop_net, ev, rule4).matrix
+        return [np.array(energy), grad, matrix, EF.pk_force(three_loop_net, ev, rule4).G]
+
+    default = fields()
+    for again, ref in zip(fields(), default):
+        assert np.array_equal(again, ref)
+    monkeypatch.setattr(EF, "CHUNK_BUDGET", 1)
+    for single, ref in zip(fields(), default):
+        assert np.abs(single - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -7,7 +7,7 @@ from dddflow import evolution as EV
 from dddflow import geometry as GE
 from dddflow import kernels as KN
 from dddflow import mobility as MB
-from dddflow import netio
+from dddflow import cli, netio
 from dddflow import shapes as SH
 from dddflow.errors import SolverError
 
@@ -216,3 +216,28 @@ def test_lagrangian_map_tracked_until_remesh(lat, ev01, rule2):
     assert not any(e["kind"] == "remesh" for e in s2.events)
     # cumulative displacement maps the initial nodes onto the current ones
     assert np.allclose(net.loops[0].nodes + s2.cumulative_displacement, s2.network.loops[0].nodes)
+
+
+def test_non_finite_energy_stops_the_run(lat, ev01, rule2, tmp_path, monkeypatch):
+    real = EV.energy_and_gradient
+    calls = []
+
+    def nan_after_first(net, ev, rule):
+        energy, grad = real(net, ev, rule)
+        calls.append(1)
+        return (energy if len(calls) == 1 else np.nan), grad
+
+    monkeypatch.setattr(EV, "energy_and_gradient", nan_after_first)
+    net = SH.single_loop_network(SH.circle_loop(lat, 0.5, 24), 0.1)
+    with pytest.raises(SolverError, match="non-finite energy at step 1"):
+        EV.run(net, ev01, MODEL, rule2, EV.StepPolicy(t_end=1.0, dt_max=0.01))
+    calls.clear()
+    netpath, cfgpath, outdir = tmp_path / "net.json", tmp_path / "cfg.json", tmp_path / "run"
+    netio.save_network(net, netpath)
+    cfgpath.write_text(
+        '{"epsilon": 0.1, "quadrature": {"sphere_polar": 12, "sphere_azimuthal": 24, "line_order": 2},'
+        ' "stepping": {"t_end": 0.02, "dt_max": 0.01}}'
+    )
+    code = cli.main(["simulate", "--input", str(netpath), "--config", str(cfgpath), "--out-dir", str(outdir)])
+    assert code == 3
+    assert not (outdir / "diagnostics.csv").exists()

@@ -37,6 +37,9 @@ def test_loop_validation(lat):
     nodes = np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0]])
     with pytest.raises(GeometryError):
         GE.Loop(nodes, b)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GeometryError, match="finite"):
+            GE.Loop(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, bad]]), b)
 
 
 def test_mass_polygon(lat):

@@ -196,5 +196,3 @@ def test_profile_scaling_relation():
         assert KN.eta(pe, t) == pytest.approx(KN.eta(p1, t / 0.4) / 0.4, rel=1e-14)
     with pytest.raises(ValueError):
         KN.MollifierProfile(0.0)
-    with pytest.raises(ValueError):
-        KN.MollifierProfile(1.0, kind="bump")
