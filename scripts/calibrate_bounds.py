@@ -82,8 +82,7 @@ def calibrate():
 
         for istep in range(MAX_STEPS):
             energy, grad = EF.energy_and_gradient(net, ev, rule)
-            lumped = np.concatenate([lp.lumped_lengths() for lp in net.loops])
-            f_density = -grad / lumped[:, None]
+            f_density = -grad / net.layout.lumped[:, None]
             vf = EV.solve_velocity(net, f_density, model)
             field = EF.pk_force(net, ev, rule)
             for name, val in raw_ratios(net, model, vf, f_density, field).items():

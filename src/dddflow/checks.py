@@ -222,8 +222,7 @@ def check_gradient_flow(overrides=None):
 
     # dissipation-identity convergence under dt halving, from the initial state
     e0, grad = EF.energy_and_gradient(net, ev, rule)
-    lumped = np.concatenate([lp.lumped_lengths() for lp in net.loops])
-    f = -grad / lumped[:, None]
+    f = -grad / net.layout.lumped[:, None]
     vf = EV.solve_velocity(net, f, model)
     dt0 = policy.choose_dt(eps, vf.v_inf, vf.dv_inf, 1e9)
     errs = []

@@ -71,6 +71,11 @@ class SimulationConfig:
         C = elasticity.from_components(block["full"])
         if not elasticity.validate_symmetries(C):
             raise ConfigError("'elasticity.full' violates the stiffness symmetries")
+        if C.lh_constant <= 0:
+            raise ConfigError(
+                f"'elasticity.full' violates the Legendre-Hadamard condition "
+                f"(sampled constant {C.lh_constant:.3g} <= 0)"
+            )
         return C
 
     def mobility_model(self):

@@ -25,7 +25,6 @@ __all__ = [
 
 
 def _alternating():
-    A = np.zeros((3, 3, 3, 3)[:3])
     A = np.zeros((3, 3, 3))
     A[0, 1, 2] = A[1, 2, 0] = A[2, 0, 1] = 1.0
     A[0, 2, 1] = A[2, 1, 0] = A[1, 0, 2] = -1.0

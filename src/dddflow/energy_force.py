@@ -82,7 +82,8 @@ class BoundCheck:
 
 
 class _GaussCloud:
-    """Flattened per-Gauss-point source data for one network."""
+    """Flattened per-Gauss-point source data for one network: rule point k
+    on node i's segment is point k * n_nodes + i."""
 
     def __init__(self, network, rule):
         if network.oversized_segments():
@@ -91,40 +92,20 @@ class _GaussCloud:
                 "scale and the line quadrature may be under-resolved",
                 stacklevel=3,
             )
-        pts, a9, bvec, wxi, xi = [], [], [], [], []
-        n0, n1, loop_of = [], [], []
-        node_offset = 0
-        for li, lp in enumerate(network.loops):
-            nodes = lp.nodes
-            n = len(nodes)
-            dx = lp.segment_vectors()
-            b = lp.burgers.cartesian
-            for w, x in zip(rule.weights, rule.points):
-                pts.append(nodes + x * dx)
-                e = w * dx
-                a9.append(np.einsum("a,nb->nab", b, e).reshape(n, 9))
-                bvec.append(np.broadcast_to(b, (n, 3)))
-                wxi.append(np.full(n, w))
-                xi.append(np.full(n, x))
-                n0.append(node_offset + np.arange(n))
-                n1.append(node_offset + (np.arange(n) + 1) % n)
-                loop_of.append(np.full(n, li))
-            node_offset += n
-        self.points = np.concatenate(pts)
-        self.a9 = np.concatenate(a9)
-        self.bvec = np.ascontiguousarray(np.concatenate(bvec))
-        self.wxi = np.concatenate(wxi)
-        self.xi = np.concatenate(xi)
-        self.node0 = np.concatenate(n0)
-        self.node1 = np.concatenate(n1)
-        self.loop_of = np.concatenate(loop_of)
-        self.n_nodes = node_offset
-        self.n_loops = len(network.loops)
-
-
-def _loop_slices(loop_of, n_loops):
-    starts = np.searchsorted(loop_of, np.arange(n_loops))
-    return np.append(starts, len(loop_of))
+        layout = network.layout
+        n, k = len(layout.nodes), rule.order
+        seg = layout.segments
+        self.points = (layout.nodes + rule.points[:, None, None] * seg).reshape(-1, 3)
+        e = rule.weights[:, None, None] * seg
+        self.a9 = np.einsum("na,knb->knab", layout.burgers, e, optimize=False).reshape(-1, 9)
+        self.bvec = np.tile(layout.burgers, (k, 1))
+        self.wxi = np.repeat(rule.weights, n)
+        self.xi = np.repeat(rule.points, n)
+        self.node0 = np.tile(np.arange(n), k)
+        self.node1 = np.tile(layout.succ, k)
+        self.loop_of = np.tile(layout.loop_of, k)
+        self.n_nodes = n
+        self.n_loops = network.n_loops
 
 
 # Correlation grid spacing in units of eps.  Cubic B-spline deposit and
@@ -321,18 +302,6 @@ def discrete_energy_gradient(network, ev, rule):
     return energy_and_gradient(network, ev, rule)[1]
 
 
-def _node_data(network):
-    nodes, taus, hair, lumped, bvec = [], [], [], [], []
-    for lp in network.loops:
-        t, h = lp.node_tangents()
-        nodes.append(lp.nodes)
-        taus.append(t)
-        hair.append(h)
-        lumped.append(lp.lumped_lengths())
-        bvec.append(np.broadcast_to(lp.burgers.cartesian, (len(lp), 3)))
-    return tuple(np.concatenate(x) for x in (nodes, taus, hair, lumped, bvec))
-
-
 def pk_force(network, ev, rule):
     """Peach-Koehler force density at the nodes via the line formula.
 
@@ -344,18 +313,23 @@ def pk_force(network, ev, rule):
     if network.is_empty():
         raise ValueError("force on an empty network")
     cloud = _GaussCloud(network, rule)
-    xn, taus, hair, lumped, bvec = _node_data(network)
+    layout = network.layout
 
     def reduce(lo, hi, corr):
         # u_l = b_a F_(al)(cd) phi'_cd at each node, with its own loop's b
         fphi = np.matmul(corr[0], ev.fk[lo:hi]).reshape(hi - lo, -1, 3, 3)
-        u = np.einsum("kial,ia->kil", fphi, bvec, optimize=False)
+        u = np.einsum("kial,ia->kil", fphi, layout.burgers, optimize=False)
         uz = np.cross(u, ev.nodes[lo:hi, None, :])
         return (np.tensordot(ev.weights[lo:hi], uz, axes=1),)
 
-    (G,) = _sweep(ev, (1,), cloud.points, cloud.a9, xn, reduce)
-    density = np.cross(taus, G)
-    return ForceField(density=density, lumped=lumped, G=G, tangents=taus, hairpin=hair)
+    (G,) = _sweep(ev, (1,), cloud.points, cloud.a9, layout.nodes, reduce)
+    return ForceField(
+        density=np.cross(layout.tangents, G),
+        lumped=layout.lumped,
+        G=G,
+        tangents=layout.tangents,
+        hairpin=layout.hairpin,
+    )
 
 
 def _surface_cloud(surfaces):
@@ -414,16 +388,8 @@ def pk_force_surface_form(loop, surface, ev):
 
 def _grad_tau_inf(network, g):
     """Max segment-wise tangential derivative of a node field g."""
-    worst = 0.0
-    off = 0
-    for lp in network.loops:
-        n = len(lp)
-        gl = g[off : off + n]
-        dg = np.roll(gl, -1, axis=0) - gl
-        h = lp.segment_lengths()
-        worst = max(worst, float((np.linalg.norm(dg, axis=1) / h).max()))
-        off += n
-    return worst
+    layout = network.layout
+    return float((np.linalg.norm(g[layout.succ] - g, axis=1) / layout.seg_len).max())
 
 
 def force_bound_report(network, field):

@@ -3,9 +3,9 @@
 Each step minimizes the dissipation potential minus the force power over
 periodic piecewise-linear velocity fields on every loop, with the line
 constraint v.tau = 0 eliminated by expressing v in a per-node basis of
-the normal plane.  Nodes are then pushed forward by dt*v, the mesh is
-resampled when segments leave the target band, and loops below the
-annihilation length are removed.
+the normal plane; all loops form one sparse SPD system.  Nodes are then
+pushed forward by dt*v, the mesh is resampled when segments leave the
+target band, and loops below the annihilation length are removed.
 
 The driving force density is minus the discrete energy gradient divided
 by the lumped node length; it converges to the line-integral
@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .calibration import BOUND_CONSTANTS
 from .energy_force import energy_and_gradient
@@ -143,71 +144,48 @@ def _normal_basis(tau):
     return e1, e2
 
 
-def _assemble_loop(loop, f_nodes, model):
-    """Reduced SPD system for one loop: P1 gradient penalty plus lumped
-    drag in per-node normal-plane coordinates."""
-    tau, hairpin = loop.node_tangents()
-    if hairpin.any():
+def _reduced_system(network, force_density, model):
+    """Reduced SPD system of the whole network: P1 gradient penalty plus
+    lumped drag in per-node normal-plane coordinates, assembled from 2x2
+    blocks (a node's own block and one pair per segment).  Returns the
+    sparse matrix, the right-hand side and the (n, 3, 2) node bases."""
+    layout = network.layout
+    if layout.hairpin.any():
         raise SolverError(
-            f"hairpin node(s) {np.nonzero(hairpin)[0].tolist()}: remesh before solving"
+            f"hairpin node(s) {np.flatnonzero(layout.hairpin).tolist()}: remesh before solving"
         )
-    n = len(loop)
-    h = loop.segment_lengths()
-    lumped = loop.lumped_lengths()
-    e1, e2 = _normal_basis(tau)
-    Q = np.stack([e1, e2], axis=2)  # (n, 3, 2)
-    b = loop.burgers.cartesian
-    A = np.zeros((2 * n, 2 * n))
-    rhs = np.zeros(2 * n)
-    alpha = model.alpha
-    for i in range(n):
-        j = (i + 1) % n
-        c = alpha / h[i]
-        blk = c * (Q[i].T @ Q[j])
-        A[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += c * np.eye(2)
-        A[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] += c * np.eye(2)
-        A[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] -= blk
-        A[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] -= blk.T
-        D = drag_matrix(model, b, tau[i])
-        A[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += lumped[i] * (Q[i].T @ D.pseudo_inverse @ Q[i])
-        rhs[2 * i : 2 * i + 2] = lumped[i] * (Q[i].T @ f_nodes[i])
-    return A, rhs, Q, tau
-
-
-def _solve_loop(loop, f_nodes, model):
-    """Periodic P1 solve of the constrained force balance on one loop."""
-    A, rhs, Q, tau = _assemble_loop(loop, f_nodes, model)
-    n = len(loop)
-    try:
-        cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        u = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"velocity system not SPD: {exc}") from exc
-    res = A @ u - rhs
-    scale = float(np.linalg.norm(rhs))
-    rel = float(np.linalg.norm(res)) / scale if scale > 0 else float(np.linalg.norm(res))
-    if rel > 1e-9 and scale > 0:
-        raise SolverError(f"velocity solve residual {rel:.2e} exceeds 1e-9")
-    v = np.einsum("nij,nj->ni", Q, u.reshape(n, 2), optimize=False)
-    return v, tau, rel
+    n, succ = len(layout.nodes), layout.succ
+    Q = np.stack(_normal_basis(layout.tangents), axis=2)
+    Qt = Q.transpose(0, 2, 1)
+    bdag = drag_matrix(model, layout.burgers, layout.tangents).pseudo_inverse
+    # segment i -> succ[i] penalizes |Q_j u_j - Q_i u_i|^2 with weight alpha / h_i
+    c = model.alpha / layout.seg_len
+    stiff = c.copy()
+    stiff[succ] += c
+    diag = layout.lumped[:, None, None] * (Qt @ bdag @ Q) + stiff[:, None, None] * np.eye(2)
+    off = -c[:, None, None] * (Qt @ Q[succ])
+    blocks = np.concatenate([diag, off, off.transpose(0, 2, 1)])
+    node = np.arange(n)
+    rows = 2 * np.concatenate([node, node, succ])[:, None, None] + np.array([[0, 0], [1, 1]])
+    cols = 2 * np.concatenate([node, succ, node])[:, None, None] + np.array([[0, 1], [0, 1]])
+    A = scipy.sparse.csc_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), (2 * n, 2 * n))
+    rhs = layout.lumped[:, None] * np.einsum("nai,na->ni", Q, force_density, optimize=False)
+    return A, rhs.ravel(), Q
 
 
 def weak_form_residual(network, force_density, model, vf, rng, n_fields=100):
     """Residual of the assembled weak form at the computed velocity,
-    normalized against random reduced test fields."""
-    force_density = np.asarray(force_density, dtype=float)
+    normalized per loop against random reduced test fields."""
+    A, rhs, Q = _reduced_system(network, np.asarray(force_density, dtype=float), model)
+    u = np.einsum("nij,ni->nj", Q, vf.v, optimize=False).ravel()
+    dof_loop = np.repeat(network.layout.loop_of, 2)
+    r = A @ u - rhs
     worst = 0.0
-    off = 0
-    for lp in network.loops:
-        n = len(lp)
-        A, rhs, Q, _ = _assemble_loop(lp, force_density[off : off + n], model)
-        u = np.einsum("nij,ni->nj", Q, vf.v[off : off + n], optimize=False).ravel()
-        r = A @ u - rhs
-        scale = max(float(np.linalg.norm(rhs)), 1e-300)
-        for _ in range(n_fields):
-            w = rng.normal(size=2 * n)
-            worst = max(worst, abs(w @ r) / (np.linalg.norm(w) * scale))
-        off += n
+    for li in range(network.n_loops):
+        r_loop = r[dof_loop == li]
+        scale = max(float(np.linalg.norm(rhs[dof_loop == li])), 1e-300)
+        w = rng.normal(size=(n_fields, len(r_loop)))
+        worst = max(worst, float((np.abs(w @ r_loop) / (np.linalg.norm(w, axis=1) * scale)).max()))
     return worst
 
 
@@ -215,47 +193,37 @@ def solve_velocity(network, force_density, model):
     """Velocity field balancing dissipation against the given force density.
 
     force_density is (n_nodes, 3) stacked in loop order.  The returned
-    field satisfies v.tau = 0 exactly at every node.
+    field satisfies v.tau = 0 exactly at every node.  A non-finite force
+    or a residual above 1e-9 relative raises SolverError.
     """
     if network.is_empty():
         raise SolverError("velocity solve on an empty network")
     force_density = np.asarray(force_density, dtype=float)
-    vs, taus, rels = [], [], []
-    dv_l1 = dv_l2_sq = v_l2_sq = power = 0.0
-    dv_inf = 0.0
-    off = 0
-    for lp in network.loops:
-        n = len(lp)
-        v, tau, rel = _solve_loop(lp, force_density[off : off + n], model)
-        vs.append(v)
-        taus.append(tau)
-        rels.append(rel)
-        h = lp.segment_lengths()
-        lumped = lp.lumped_lengths()
-        dv = np.roll(v, -1, axis=0) - v
-        dv_norm = np.linalg.norm(dv, axis=1)
-        dv_l1 += float(dv_norm.sum())
-        dv_l2_sq += float((dv_norm**2 / h).sum())
-        dv_inf = max(dv_inf, float((dv_norm / h).max()))
-        v_l2_sq += float((lumped * (v**2).sum(axis=1)).sum())
-        power += float((lumped * (force_density[off : off + n] * v).sum(axis=1)).sum())
-        off += n
-    v = np.concatenate(vs)
+    A, rhs, Q = _reduced_system(network, force_density, model)
+    try:
+        u = scipy.sparse.linalg.splu(A).solve(rhs)
+    except RuntimeError as exc:
+        raise SolverError(f"velocity system singular: {exc}") from exc
+    res = float(np.linalg.norm(A @ u - rhs))
+    scale = float(np.linalg.norm(rhs))
+    rel = res / scale if scale > 0 else res
+    if not (np.isfinite(scale) and rel <= 1e-9):
+        raise SolverError(f"velocity solve residual {rel:.2e} (|rhs| {scale:.2e}) not below 1e-9")
+    layout = network.layout
+    v = np.einsum("nij,nj->ni", Q, u.reshape(-1, 2), optimize=False)
+    h = layout.seg_len
+    dv_norm = np.linalg.norm(v[layout.succ] - v, axis=1)
     return VelocityField(
         v=v,
-        tangents=np.concatenate(taus),
-        residual=max(rels),
+        tangents=layout.tangents,
+        residual=rel,
         v_inf=float(np.linalg.norm(v, axis=1).max()),
-        dv_inf=dv_inf,
-        v_l2=math.sqrt(v_l2_sq),
-        dv_l2=math.sqrt(dv_l2_sq),
-        dv_l1=dv_l1,
-        power=power,
+        dv_inf=float((dv_norm / h).max()),
+        v_l2=math.sqrt(float((layout.lumped * (v**2).sum(axis=1)).sum())),
+        dv_l2=math.sqrt(float((dv_norm**2 / h).sum())),
+        dv_l1=float(dv_norm.sum()),
+        power=float((layout.lumped * (force_density * v).sum(axis=1)).sum()),
     )
-
-
-def _lumped_all(network):
-    return np.concatenate([lp.lumped_lengths() for lp in network.loops])
 
 
 def _bound_ratios(network, model, vf, f_inf, mass_now, theta, t_now, mass0):
@@ -289,7 +257,7 @@ def _energy_force_velocity(state, ev, model, rule):
     energy, grad = energy_and_gradient(net, ev, rule)
     _require_finite("energy", energy, state)
     _require_finite("gradient", grad, state)
-    vf = solve_velocity(net, -grad / _lumped_all(net)[:, None], model)
+    vf = solve_velocity(net, -grad / net.layout.lumped[:, None], model)
     _require_finite("velocity", vf.v, state)
     return energy, grad, vf
 
@@ -307,7 +275,7 @@ def step(state, dt, ev, model, rule, policy, mass0=None, precomputed=None):
     if precomputed is None:
         precomputed = _energy_force_velocity(state, ev, model, rule)
     energy, grad, vf = precomputed
-    f_density = -grad / _lumped_all(net)[:, None]
+    f_density = -grad / net.layout.lumped[:, None]
     m_now = mass(net)
     theta = mass_ratio(net)
     if mass0 is None:

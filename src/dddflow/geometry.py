@@ -6,6 +6,8 @@ by construction.  All values are immutable; operations return new
 networks.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import GeometryError
@@ -14,6 +16,7 @@ __all__ = [
     "Lattice",
     "BurgersVector",
     "Loop",
+    "NodeLayout",
     "DislocationNetwork",
     "SpanningSurface",
     "mass",
@@ -150,6 +153,33 @@ class Loop:
         return Loop(self.nodes[::-1].copy(), self.burgers)
 
 
+class NodeLayout:
+    """Per-node arrays of a network's loops, concatenated in loop order and
+    built once from the loops' own methods; every array is read-only.
+
+    Segment i runs from node i to node succ[i] of the same loop, loop_of[i].
+    """
+
+    def __init__(self, loops):
+        sizes = np.array([len(lp) for lp in loops], dtype=np.int64)
+        self.loop_of = np.repeat(np.arange(len(loops)), sizes)
+        first = (np.cumsum(sizes) - sizes)[self.loop_of]
+        self.succ = first + (np.arange(len(self.loop_of)) - first + 1) % sizes[self.loop_of]
+        tangents = [lp.node_tangents() for lp in loops]
+        # a leading empty block keeps shape and dtype for a network without loops
+        self.nodes = np.concatenate([np.zeros((0, 3))] + [lp.nodes for lp in loops])
+        self.segments = np.concatenate([np.zeros((0, 3))] + [lp.segment_vectors() for lp in loops])
+        self.seg_len = np.concatenate([np.zeros(0)] + [lp.segment_lengths() for lp in loops])
+        self.lumped = np.concatenate([np.zeros(0)] + [lp.lumped_lengths() for lp in loops])
+        self.tangents = np.concatenate([np.zeros((0, 3))] + [t for t, _ in tangents])
+        self.hairpin = np.concatenate([np.zeros(0, dtype=bool)] + [h for _, h in tangents])
+        self.burgers = np.concatenate(
+            [np.zeros((0, 3))] + [np.tile(lp.burgers.cartesian, (len(lp), 1)) for lp in loops]
+        )
+        for array in vars(self).values():
+            array.setflags(write=False)
+
+
 class DislocationNetwork:
     """Finite union of loops sharing one lattice, with a target core scale."""
 
@@ -175,10 +205,13 @@ class DislocationNetwork:
     def is_empty(self):
         return len(self.loops) == 0
 
+    @functools.cached_property
+    def layout(self):
+        """The network's NodeLayout, built on first use."""
+        return NodeLayout(self.loops)
+
     def all_nodes(self):
-        if self.is_empty():
-            return np.zeros((0, 3))
-        return np.concatenate([lp.nodes for lp in self.loops], axis=0)
+        return self.layout.nodes
 
     def oversized_segments(self):
         """Advisory: (loop index, segment index) pairs longer than epsilon."""
@@ -245,19 +278,9 @@ def mass_ratio(network):
     """
     if network.is_empty():
         raise GeometryError("mass ratio of an empty network")
-    starts, vecs, seg_len, bnorm = [], [], [], []
-    for lp in network.loops:
-        v = lp.segment_vectors()
-        starts.append(lp.nodes)
-        vecs.append(v)
-        ln = lp.segment_lengths()
-        seg_len.append(ln)
-        bnorm.append(np.full(len(ln), lp.burgers.norm))
-    starts = np.concatenate(starts)
-    vecs = np.concatenate(vecs)
-    seg_len = np.concatenate(seg_len)
-    bnorm = np.concatenate(bnorm)
-    nodes = starts
+    layout = network.layout
+    nodes, vecs, seg_len = layout.nodes, layout.segments, layout.seg_len
+    bnorm = np.linalg.norm(layout.burgers, axis=1)
     centers = nodes
     best = 0.0
     # 16 MB blocks: freeing them raises glibc's dynamic mmap threshold, so
@@ -270,7 +293,7 @@ def mass_ratio(network):
         d = np.linalg.norm(nodes[None, :, :] - cb[:, None, :], axis=2)  # (c, k)
         radii = np.concatenate([d, np.full((len(cb), 1), 0.5 * network.epsilon)], axis=1)
         radii = np.where(radii > 1e-12, radii, 0.5 * network.epsilon)
-        clipped = _clip_lengths(starts, vecs, seg_len, cb, radii)
+        clipped = _clip_lengths(nodes, vecs, seg_len, cb, radii)
         m_of_r = np.einsum("m,cmk->ck", bnorm, clipped, optimize=False)
         best = max(best, float((m_of_r / radii).max()))
     return best

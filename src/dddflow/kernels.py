@@ -23,8 +23,8 @@ decay scan builds its own equator-refined rules).
 import numpy as np
 from scipy.special import erf
 
-from .elasticity import ALTERNATING, acoustic_tensor, acoustic_inverse
-from .errors import NotIsotropicError
+from .elasticity import ALTERNATING, NEAR_SINGULAR_FLOOR, acoustic_inverse, acoustic_tensor
+from .errors import NearSingularError, NotIsotropicError
 from .calibration import N_PHI
 
 __all__ = [
@@ -168,7 +168,18 @@ def polar_order_for(s_max_over_eps):
 
 
 def _dinv_stack(C, nodes):
+    """D(z)^-1 at every node, each D(z) held to the near-singularity floor
+    of `acoustic_inverse`."""
     D = np.einsum("abcd,nb,nd->nac", C.c, nodes, nodes, optimize=False)
+    floor = NEAR_SINGULAR_FLOOR * np.maximum(np.abs(D).max(axis=(1, 2)), np.finfo(float).tiny)
+    low = np.linalg.eigvalsh(D)[:, 0]
+    bad = np.flatnonzero(low <= floor)
+    if len(bad):
+        k = bad[0]
+        raise NearSingularError(
+            f"acoustic tensor nearly singular at {len(bad)} sphere node(s): min eigenvalue "
+            f"{low[k]:.3e} <= floor {floor[k]:.3e} at z = {nodes[k].round(4).tolist()}"
+        )
     return np.linalg.inv(D)
 
 

@@ -88,18 +88,19 @@ class DragMatrix:
 
 
 def _projector(tau):
-    return np.eye(3) - np.outer(tau, tau)
+    return np.eye(3) - tau[..., :, None] * tau[..., None, :]
 
 
 def _check_unit(tau):
     tau = np.asarray(tau, dtype=float)
-    if abs(np.linalg.norm(tau) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(tau, axis=-1) - 1.0) > 1e-10):
         raise ValueError("tau must be a unit vector")
     return tau
 
 
-def _bcc_eigensystem(drag, b, tau, screw_tol):
-    """Eigenvalues/eigenvectors of the BCC drag matrix in the normal plane.
+def _bcc_drag(drag, b, tau, P, screw_tol):
+    """BCC mobility matrix and its pseudo-inverse from the normal-plane
+    eigensystem.
 
     Away from screw orientation the two eigenvectors are the projected
     Burgers direction (glide) and b x tau (climb).  Both terms of the
@@ -108,50 +109,47 @@ def _bcc_eigensystem(drag, b, tau, screw_tol):
     times the normal-plane projector), with a linear blend over
     [tol, 2 tol] to keep tau -> B continuous.
     """
-    bn = np.linalg.norm(b)
+    bn = np.linalg.norm(b, axis=-1)
     cross = np.cross(b, tau)
-    cn = np.linalg.norm(cross)
-    bt = float(b @ tau)
-    screw_limit = drag.B_s * abs(bt) / bn**2
-    if cn <= screw_tol * bn:
-        P = _projector(tau)
-        return None, None, screw_limit, P
-    pb = _projector(tau) @ b
-    u = pb / np.linalg.norm(pb)
-    w = cross / cn
-    c_glide = 1.0 / math.sqrt(cn**2 / drag.B_eg**2 + bt**2 / drag.B_s**2)
-    c_climb = math.sqrt(drag.B_ec**2 * cn**2 + drag.B_s**2 * bt**2) / bn**2
-    if cn <= 2.0 * screw_tol * bn:
-        # blend toward the isotropic screw limit for continuity
-        t = (cn / bn - screw_tol) / screw_tol
-        c_glide = (1.0 - t) * screw_limit + t * c_glide
-        c_climb = (1.0 - t) * screw_limit + t * c_climb
-    return (u, c_glide), (w, c_climb), screw_limit, None
+    cn = np.linalg.norm(cross, axis=-1)
+    bt = np.einsum("...i,...i->...", b, tau)
+    screw = cn <= screw_tol * bn
+    screw_limit = drag.B_s * np.abs(bt) / bn**2
+    pb = np.einsum("...ij,...j->...i", P, b)
+    u = pb / np.where(screw, 1.0, np.linalg.norm(pb, axis=-1))[..., None]
+    w = cross / np.where(screw, 1.0, cn)[..., None]
+    c_glide = 1.0 / np.sqrt(cn**2 / drag.B_eg**2 + bt**2 / drag.B_s**2)
+    c_climb = np.sqrt(drag.B_ec**2 * cn**2 + drag.B_s**2 * bt**2) / bn**2
+    # blend toward the isotropic screw limit for continuity (t = 1 from 2 tol on)
+    t = np.clip((cn / bn - screw_tol) / screw_tol, 0.0, 1.0)
+    cg = ((1.0 - t) * screw_limit + t * c_glide)[..., None, None]
+    cc = ((1.0 - t) * screw_limit + t * c_climb)[..., None, None]
+    uu = u[..., :, None] * u[..., None, :]
+    ww = w[..., :, None] * w[..., None, :]
+    limit = np.where(screw, screw_limit, 1.0)[..., None, None]
+    screw = screw[..., None, None]
+    B = np.where(screw, limit * P, cg * uu + cc * ww)
+    Bdag = np.where(screw, P / limit, uu / cg + ww / cc)
+    return B, Bdag
 
 
 def drag_matrix(model, b, tau):
     """Mobility matrix B(b, tau) and its Moore-Penrose pseudo-inverse.
 
-    Both annihilate the tangent; the pseudo-inverse inverts the nonzero
+    tau is one unit tangent (3,) or a stack (n, 3), b one Burgers vector
+    or one per tangent; the matrices are (3, 3) or (n, 3, 3).  Both
+    annihilate the tangent; the pseudo-inverse inverts the nonzero
     eigenvalues on the normal plane.
     """
     tau = _check_unit(tau)
-    b = np.asarray(b, dtype=float)
-    if np.linalg.norm(b) == 0.0:
+    b = np.broadcast_to(np.asarray(b, dtype=float), tau.shape)
+    if np.any(np.linalg.norm(b, axis=-1) == 0.0):
         raise ValueError("Burgers vector must be nonzero")
+    P = _projector(tau)
     if isinstance(model.drag, IsotropicDrag):
-        P = _projector(tau)
         m = model.drag.m
         return DragMatrix(P / m, m * P, tau)
-    glide, climb, screw_limit, P = _bcc_eigensystem(
-        model.drag, b, tau, model.screw_tolerance
-    )
-    if glide is None:
-        return DragMatrix(screw_limit * P, P / screw_limit, tau)
-    (u, cg), (w, cc) = glide, climb
-    B = cg * np.outer(u, u) + cc * np.outer(w, w)
-    Bdag = np.outer(u, u) / cg + np.outer(w, w) / cc
-    return DragMatrix(B, Bdag, tau)
+    return DragMatrix(*_bcc_drag(model.drag, b, tau, P, model.screw_tolerance), tau)
 
 
 def psi(model, b, tau, v):

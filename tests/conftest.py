@@ -34,6 +34,20 @@ def rule4():
     return LineQuadratureRule(4)
 
 
+@pytest.fixture(scope="session")
+def lh_violating_cubic():
+    """81 row-major entries of cubic stiffness (c11, c12, c44) = (2.4, 1.4, -0.3):
+    all index symmetries hold, but D(z) has negative eigenvalues."""
+    c11, c12, c44 = 2.4, 1.4, -0.3
+    c = np.zeros((3, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            c[i, i, j, j] = c11 if i == j else c12
+            if i != j:
+                c[i, j, i, j] = c[i, j, j, i] = c44
+    return c.ravel().tolist()
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

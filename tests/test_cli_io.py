@@ -197,11 +197,21 @@ def test_cli_simulate(lat, tmp_path):
     assert (outdir / "final.json").exists()
 
 
+def test_cli_rejects_legendre_hadamard_violation(lat, tmp_path, capsys, lh_violating_cubic):
+    cfg = {"elasticity": {"full": lh_violating_cubic}}
+    netpath, cfgpath = _write_inputs(tmp_path, lat, extra_cfg=cfg)
+    assert cli.main(["energy", "--input", str(netpath), "--config", str(cfgpath)]) == 2
+    err = capsys.readouterr().err
+    assert "'elasticity.full'" in err and "Legendre-Hadamard" in err
+
+
 def test_cli_exit_codes(lat, tmp_path):
     netpath, cfgpath = _write_inputs(tmp_path, lat)
     # usage: unknown subcommand
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "2,2"]) == 1
+    assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "2,-1,2"]) == 1
+    assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "0,2,2"]) == 1
     # config: malformed file
     bad = tmp_path / "bad.json"
     bad.write_text('{"epsilon": -2}')

@@ -107,8 +107,8 @@ def test_line_engine_matches_kernel_pair_sums(case):
     d = (cloud.points[:, None, :] - cloud.points[None, :, :]).reshape(-1, 3)
     K = KN.sphere_sum(ev, d).reshape(n, n, 9, 9)
     e_pairs = np.einsum("ic,ijcd,jd->ij", cloud.a9, K, cloud.a9, optimize=True)
-    edges = EF._loop_slices(cloud.loop_of, cloud.n_loops)[:-1]
-    blocks = 0.5 * np.add.reduceat(np.add.reduceat(e_pairs, edges, axis=0), edges, axis=1)
+    onehot = np.eye(cloud.n_loops)[cloud.loop_of]
+    blocks = 0.5 * onehot.T @ e_pairs @ onehot
     assert rel(EF.energy_line(net, ev, RULE).matrix, blocks) <= TOL
 
     # G_m(s) = sum_g A_mlq b_a a_g,cd dK_alcd/ds_q (x_s - x_g)

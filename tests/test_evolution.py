@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dddflow import elasticity as EL
 from dddflow import energy_force as EF
@@ -50,6 +53,109 @@ def test_velocity_constraint_and_residual(lat, ev01, rule2, rng):
     assert np.abs((vf.v * vf.tangents).sum(axis=1)).max() <= 1e-12 * max(vf.v_inf, 1.0)
     assert EV.weak_form_residual(net, f, MODEL, vf, rng) <= 1e-9
     assert vf.residual <= 1e-10
+
+
+def _pseudo_inverse_reference(model, b, tau):
+    """Drag pseudo-inverse for one tangent, in its first closed form."""
+    P = np.eye(3) - np.outer(tau, tau)
+    if isinstance(model.drag, MB.IsotropicDrag):
+        return model.drag.m * P
+    d, tol = model.drag, model.screw_tolerance
+    bn, cross, bt = np.linalg.norm(b), np.cross(b, tau), float(b @ tau)
+    cn = np.linalg.norm(cross)
+    screw_limit = d.B_s * abs(bt) / bn**2
+    if cn <= tol * bn:
+        return P / screw_limit
+    u = P @ b / np.linalg.norm(P @ b)
+    w = cross / cn
+    cg = 1.0 / math.sqrt(cn**2 / d.B_eg**2 + bt**2 / d.B_s**2)
+    cc = math.sqrt(d.B_ec**2 * cn**2 + d.B_s**2 * bt**2) / bn**2
+    if cn <= 2.0 * tol * bn:
+        t = (cn / bn - tol) / tol
+        cg = (1.0 - t) * screw_limit + t * cg
+        cc = (1.0 - t) * screw_limit + t * cc
+    return np.outer(u, u) / cg + np.outer(w, w) / cc
+
+
+def _dense_velocity_reference(net, f, model):
+    """The velocity solve in its first form, kept as the oracle: one dense
+    2n x 2n system per loop, assembled node by node, solved by Cholesky."""
+    vs, off = [], 0
+    for lp in net.loops:
+        n = len(lp)
+        tau, _ = lp.node_tangents()
+        h, lumped, b = lp.segment_lengths(), lp.lumped_lengths(), lp.burgers.cartesian
+        Q = np.stack(EV._normal_basis(tau), axis=2)
+        A, rhs = np.zeros((2 * n, 2 * n)), np.zeros(2 * n)
+        for i in range(n):
+            j = (i + 1) % n
+            I, J = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
+            c = model.alpha / h[i]
+            blk = c * (Q[i].T @ Q[j])
+            A[I, I] += c * np.eye(2)
+            A[J, J] += c * np.eye(2)
+            A[I, J] -= blk
+            A[J, I] -= blk.T
+            A[I, I] += lumped[i] * (Q[i].T @ _pseudo_inverse_reference(model, b, tau[i]) @ Q[i])
+            rhs[I] = lumped[i] * (Q[i].T @ f[off + i])
+        u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), rhs)
+        vs.append(np.einsum("nij,nj->ni", Q, u.reshape(n, 2)))
+        off += n
+    return np.concatenate(vs)
+
+
+def _assert_matches_dense_reference(net, model, rng):
+    f = rng.normal(size=(net.n_nodes, 3))
+    v = EV.solve_velocity(net, f, model).v
+    ref = _dense_velocity_reference(net, f, model)
+    assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_network_solve_matches_dense_reference_isotropic(lat, rng):
+    loops = [
+        SH.circle_loop(lat, 1.0, 48),
+        SH.ellipse_loop(lat, 1.2, 0.7, 40, center=(0, 0, 1.0)),
+        SH.random_loop(lat, rng, n_nodes=30, center=(3.0, 0, 0)),
+    ]
+    net = GE.DislocationNetwork(lat, loops, 0.1)
+    model = MB.MobilityModel(alpha=0.7, drag=MB.IsotropicDrag(m=1.3))
+    _assert_matches_dense_reference(net, model, rng)
+
+
+def test_network_solve_matches_dense_reference_bcc_near_screw(lat, rng):
+    # b = x: the axis-aligned square's straight edges are exact screws, the
+    # square turned by 1.5 tol sits in the blend band [tol, 2 tol]
+    model = MB.MobilityModel(
+        alpha=0.5, drag=MB.BccDrag(B_eg=4.0, B_ec=1.0, B_s=2.0), screw_tolerance=1e-3
+    )
+    tol = model.screw_tolerance
+    square = SH.square_loop(lat, 1.0, 6, burgers=(1, 0, 0))
+    a = math.asin(1.5 * tol)
+    turn = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+    turned = GE.Loop(square.nodes @ turn.T + [0.0, 0.0, 1.0], square.burgers)
+    other = SH.random_loop(lat, rng, n_nodes=20, burgers=(1, 1, 1), center=(3.0, 0, 0))
+    net = GE.DislocationNetwork(lat, [square, turned, other], 0.1)
+    layout = net.layout
+    b, tau = layout.burgers, layout.tangents
+    sin = np.linalg.norm(np.cross(b, tau), axis=1) / np.linalg.norm(b, axis=1)
+    assert (sin < tol).sum() >= 8 and ((sin >= tol) & (sin <= 2 * tol)).sum() >= 8
+    _assert_matches_dense_reference(net, model, rng)
+    # the batched drag matrices equal per-tangent calls and the first closed form
+    D = MB.drag_matrix(model, b, tau)
+    for i in range(net.n_nodes):
+        one = MB.drag_matrix(model, b[i], tau[i])
+        assert np.array_equal(D.matrix[i], one.matrix)
+        assert np.array_equal(D.pseudo_inverse[i], one.pseudo_inverse)
+        ref = _pseudo_inverse_reference(model, b[i], tau[i])
+        assert np.abs(one.pseudo_inverse - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_non_finite_force_raises(lat):
+    net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 32), 0.1)
+    f = np.zeros((32, 3))
+    f[5, 1] = np.nan
+    with pytest.raises(SolverError, match="residual nan"):
+        EV.solve_velocity(net, f, MODEL)
 
 
 def test_energy_decrement_identity(lat, ev01, rule2):

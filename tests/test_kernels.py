@@ -4,7 +4,7 @@ import pytest
 from dddflow import elasticity as EL
 from dddflow import kernels as KN
 from dddflow.calibration import N_PHI
-from dddflow.errors import NotIsotropicError
+from dddflow.errors import NearSingularError, NotIsotropicError
 
 
 def test_eta_closed_form():
@@ -196,3 +196,10 @@ def test_profile_scaling_relation():
         assert KN.eta(pe, t) == pytest.approx(KN.eta(p1, t / 0.4) / 0.4, rel=1e-14)
     with pytest.raises(ValueError):
         KN.MollifierProfile(0.0)
+
+
+def test_evaluator_rejects_legendre_hadamard_violation(lh_violating_cubic):
+    C = EL.from_components(lh_violating_cubic)
+    assert EL.validate_symmetries(C) and C.lh_constant < 0
+    with pytest.raises(NearSingularError, match="nearly singular"):
+        KN.KernelEvaluator(C, KN.MollifierProfile(1.0), KN.SphericalQuadrature.product_rule(8, 16))
