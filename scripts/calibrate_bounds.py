@@ -25,33 +25,49 @@ from dddflow import geometry as GE
 from dddflow import kernels as KN
 from dddflow import mobility as MB
 from dddflow import shapes as SH
+from dddflow.calibration import BOUND_CONSTANTS
 
 EPS = 0.1
 MAX_STEPS = 60
 
 
-def raw_ratios(net, model, vf, f_density, field):
-    eps = net.epsilon
+def step_ratios(net, ev, model, rule):
+    """Velocity field of one step, and each bound's left-hand side over its
+    right-hand side with C = 1.
+
+    The monitored bounds are the run's own ratios times their constants;
+    pk_linf takes the larger of the gradient and line-formula forces.
+    """
+    _, grad = EF.energy_and_gradient(net, ev, rule)
+    f_density = -grad / net.layout.lumped[:, None]
+    vf = EV.solve_velocity(net, f_density, model)
+    field = EF.pk_force(net, ev, rule)
     m = GE.mass(net)
     theta = GE.mass_ratio(net)
-    bmax = net.max_burgers_norm()
-    gam = min(model.alpha, model.beta())
-    logterm = math.log(1.0 + 2.0 * m / (eps * theta))
     f_inf = float(np.linalg.norm(f_density, axis=1).max())
     f_inf = max(f_inf, float(np.linalg.norm(field.density, axis=1).max()))
+    r_ap, r_f, r_len, _ = EV._bound_ratios(net, model, vf, f_inf, m, theta, 0.0, m)
+    eps = net.epsilon
+    logterm = math.log(1.0 + 2.0 * m / (eps * theta))
     f_l2 = float(np.sqrt((field.lumped * (field.density**2).sum(axis=1)).sum()))
-    v_h1 = math.sqrt(vf.v_l2**2 + vf.dv_l2**2)
-    return {
-        "pk_linf": f_inf * eps / (bmax * theta * logterm),
-        "pk_l2": f_l2 * eps / (bmax * math.sqrt(m) * theta * logterm),
-        "ap_vel": v_h1 * eps * gam / (math.sqrt(m) * theta * bmax * logterm),
-        "length_rate": vf.dv_l1 * eps * gam / (m * theta * bmax * logterm),
-        "v_inf": vf.v_inf * eps * gam / (math.sqrt(1 + 2 * m) * theta * bmax * logterm),
-        "dv_inf": vf.dv_inf
-        * eps
-        * model.alpha
-        / (bmax * (1 + math.sqrt(1 + 2 * m) / gam) * m * theta * logterm),
+    return vf, {
+        "pk_linf": r_f * BOUND_CONSTANTS["pk_linf"],
+        "pk_l2": f_l2 * eps / (net.max_burgers_norm() * math.sqrt(m) * theta * logterm),
+        "ap_vel": r_ap * BOUND_CONSTANTS["ap_vel"],
+        "length_rate": r_len * BOUND_CONSTANTS["length_rate"],
     }
+
+
+def continuity_ratio(net, g, ev, rule):
+    """(|f(x + g) - f(x)|_inf - |d_tau g|_inf) / (M (|d_tau g|_inf + |g|_inf)),
+    the continuity constant that one displacement g demands."""
+    f0 = EF.pk_force(net, ev, rule).density
+    f1 = EF.pk_force(GE.pushforward(net, g), ev, rule).density
+    lhs = float(np.linalg.norm(f1 - f0, axis=1).max())
+    layout = net.layout
+    grad_inf = float((np.linalg.norm(g[layout.succ] - g, axis=1) / layout.seg_len).max())
+    g_inf = float(np.linalg.norm(g, axis=1).max())
+    return (lhs - grad_inf) / (GE.mass(net) * (grad_inf + g_inf))
 
 
 def calibrate():
@@ -73,19 +89,11 @@ def calibrate():
 
         # continuity constant from small random deformations
         g = 1e-3 * EPS * rng.normal(size=(net.n_nodes, 3))
-        chk = EF.continuity_check(net, g, ev, rule)
-        m = GE.mass(net)
-        g_inf = float(np.linalg.norm(g, axis=1).max())
-        grad_inf = EF._grad_tau_inf(net, g)
-        raw_c = (chk.lhs - grad_inf) / (m * (grad_inf + g_inf))
-        cont_sup = max(cont_sup, raw_c)
+        cont_sup = max(cont_sup, continuity_ratio(net, g, ev, rule))
 
         for istep in range(MAX_STEPS):
-            energy, grad = EF.energy_and_gradient(net, ev, rule)
-            f_density = -grad / net.layout.lumped[:, None]
-            vf = EV.solve_velocity(net, f_density, model)
-            field = EF.pk_force(net, ev, rule)
-            for name, val in raw_ratios(net, model, vf, f_density, field).items():
+            vf, ratios = step_ratios(net, ev, model, rule)
+            for name, val in ratios.items():
                 sup[name] = max(sup.get(name, 0.0), val)
             dt = policy.choose_dt(EPS, vf.v_inf, vf.dv_inf, 1e9)
             moved = GE.pushforward(net, dt * vf.v)

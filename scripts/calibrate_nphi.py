@@ -29,21 +29,15 @@ def main():
     C = EL.make_isotropic(1.0, 1.0)
     profile = KN.MollifierProfile(1.0)
     ev = KN.KernelEvaluator(C, profile)
-    num = den = 0.0
-    worst = 0.0
-    for s in PROBES:
-        s = np.asarray(s)
-        k_unit = KN.eval_K(ev, s) / calibration.N_PHI  # unit-amplitude evaluation
-        k_direct = KN.eval_K_direct(C, profile, s)
-        num += float((k_unit * k_direct).sum())
-        den += float((k_unit * k_unit).sum())
+    k_unit = KN.sphere_sum(ev, PROBES) / calibration.N_PHI  # unit-amplitude evaluation
+    k_direct = [KN.eval_K_direct(C, profile, np.asarray(s)) for s in PROBES]
+    num = sum(float((ku * kd).sum()) for ku, kd in zip(k_unit, k_direct))
+    den = sum(float((ku * ku).sum()) for ku in k_unit)
     fitted = num / den
     closed = np.sqrt(np.pi) / (8.0 * np.pi**3)
-    for s in PROBES:
-        s = np.asarray(s)
-        k = KN.eval_K(ev, s) / calibration.N_PHI * fitted
-        kd = KN.eval_K_direct(C, profile, s)
-        worst = max(worst, np.abs(k - kd).max() / np.abs(kd).max())
+    worst = max(
+        np.abs(ku * fitted - kd).max() / np.abs(kd).max() for ku, kd in zip(k_unit, k_direct)
+    )
     print(f"fitted N_PHI      = {fitted:.12e}")
     print(f"closed form       = {closed:.12e}   (sqrt(pi)/(8 pi^3))")
     print(f"fit / closed form = {fitted / closed:.10f}")

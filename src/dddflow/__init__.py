@@ -6,10 +6,7 @@ dissipative gradient-flow evolution with monitored analytic bounds.
 """
 
 from .elasticity import (
-    AcousticTensor,
     ElasticityTensor,
-    acoustic_inverse,
-    acoustic_tensor,
     estimate_lh_constant,
     from_components,
     make_isotropic,
@@ -19,7 +16,6 @@ from .energy_force import (
     EnergyBreakdown,
     ForceField,
     LineQuadratureRule,
-    discrete_energy_gradient,
     energy_and_gradient,
     energy_line,
     energy_surface,
@@ -27,7 +23,6 @@ from .energy_force import (
 )
 from .errors import (
     ConfigError,
-    ConstraintError,
     DDDError,
     GeometryError,
     NearSingularError,
@@ -53,11 +48,9 @@ from .kernels import (
     MollifierProfile,
     SphericalQuadrature,
     decay_bound_scan,
-    eval_gradK,
-    eval_J,
-    eval_K,
     eval_K_direct,
+    sphere_sum,
 )
-from .mobility import BccDrag, DragMatrix, IsotropicDrag, MobilityModel, dpsi_perp, psi, psi_star
+from .mobility import BccDrag, DragMatrix, IsotropicDrag, MobilityModel, drag_matrix
 
 __version__ = "0.1.0"

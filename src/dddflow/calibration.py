@@ -31,8 +31,6 @@ BOUND_CONSTANTS = {
     "pk_l2": 0.0290775,
     "ap_vel": 0.00578784,
     "length_rate": 0.00554712,
-    "v_inf": 0.000948695,
-    "dv_inf": 0.00177896,
     "mass": 0.00554712,
     "continuity": 0.002,
 }

@@ -16,6 +16,7 @@ from .config import load_config
 from .energy_force import energy_line, pk_force
 from .errors import ConfigError, DDDError
 from .evolution import run
+from .kernels import SphericalQuadrature
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,10 +144,15 @@ def _cmd_kernel_table(args):
 
 def _cmd_check(args):
     overrides = {}
-    if args.sphere_polar is not None:
-        overrides["sphere_polar"] = args.sphere_polar
-    if args.sphere_azimuthal is not None:
-        overrides["sphere_azimuthal"] = args.sphere_azimuthal
+    # the suites build their rules from these orders: reject bad ones first
+    for key, order in (("sphere_polar", "n_polar"), ("sphere_azimuthal", "n_azimuthal")):
+        value = getattr(args, key)
+        if value is not None:
+            try:
+                SphericalQuadrature.product_rule(**{order: value})
+            except ValueError as exc:
+                raise _UsageError(f"--{key.replace('_', '-')}: {exc}") from exc
+            overrides[key] = value
     if args.nphi_scale is not None:
         overrides["nphi_scale"] = args.nphi_scale
     results = checks.run_checks(names=args.only, overrides=overrides or None)

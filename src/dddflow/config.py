@@ -174,10 +174,17 @@ def loads_config(text):
     q_in = raw.get("quadrature", {})
     _require_keys(q_in, set(q), "quadrature.")
     q.update(q_in)
-    for key in ("sphere_polar", "sphere_azimuthal", "line_order"):
+    # the rule constructors state the order conditions
+    for key, build in (
+        ("sphere_polar", lambda n: kernels.SphericalQuadrature.product_rule(n_polar=n)),
+        ("sphere_azimuthal", lambda n: kernels.SphericalQuadrature.product_rule(n_azimuthal=n)),
+        ("line_order", LineQuadratureRule),
+    ):
         q[key] = _nonneg_int(q[key], f"quadrature.{key}")
-    if q["sphere_polar"] % 2 or q["sphere_polar"] < 2:
-        raise ConfigError("'quadrature.sphere_polar' must be an even integer >= 2")
+        try:
+            build(q[key])
+        except ValueError as exc:
+            raise ConfigError(f"'quadrature.{key}': {exc}") from exc
     data["quadrature"] = q
 
     s = dict(_DEFAULTS["stepping"])

@@ -1,4 +1,5 @@
-"""Rank-4 stiffness tensors, their symmetries, and the acoustic tensor D(k).
+"""Rank-4 stiffness tensors, their symmetries, and the inverse acoustic
+tensor D(z)^-1 at a stack of directions.
 
 Stiffness is stored as the full 81-entry dense array; Voigt packing is
 deliberately avoided because every downstream kernel contraction works on
@@ -14,13 +15,10 @@ from .errors import NearSingularError
 __all__ = [
     "ALTERNATING",
     "ElasticityTensor",
-    "AcousticTensor",
     "make_isotropic",
     "from_components",
     "validate_symmetries",
     "estimate_lh_constant",
-    "acoustic_tensor",
-    "acoustic_inverse",
 ]
 
 
@@ -72,17 +70,6 @@ class ElasticityTensor:
 
     def __repr__(self):
         return f"ElasticityTensor(max|C|={self.max_abs():g}, lh~{self.lh_constant:g})"
-
-
-class AcousticTensor:
-    """3x3 matrix C_abcd k_b k_d together with the direction it came from."""
-
-    def __init__(self, matrix, direction):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.direction = np.asarray(direction, dtype=float)
-
-    def smallest_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 def _lame(lam, mu):
@@ -146,34 +133,21 @@ def estimate_lh_constant(C, n_samples):
     return float(vals.min())
 
 
-def acoustic_tensor(C, k):
-    """D(k)_ac = C_abcd k_b k_d for a nonzero wavevector k."""
-    k = np.asarray(k, dtype=float)
-    n = np.linalg.norm(k)
-    if n == 0.0:
-        raise ValueError("acoustic tensor is undefined at k = 0")
-    mat = np.einsum("abcd,b,d->ac", C.c, k, k)
-    return AcousticTensor(mat, k / n)
+def _dinv_stack(C, nodes):
+    """D(z)^-1 at every node, where D(z)_ac = C_abcd z_b z_d.
 
-
-def acoustic_inverse(D, floor_scale=NEAR_SINGULAR_FLOOR):
-    """Inverse of an acoustic tensor, guarding against near-singularity.
-
-    Raises NearSingularError when the smallest eigenvalue falls below
-    floor_scale times the largest matrix entry, which indicates a
-    Legendre-Hadamard failure along this direction.
+    Raises NearSingularError when the smallest eigenvalue of some D(z)
+    falls below NEAR_SINGULAR_FLOOR times that matrix's largest entry,
+    which indicates a Legendre-Hadamard failure along z.
     """
-    mat = D.matrix
-    floor = floor_scale * max(np.abs(mat).max(), np.finfo(float).tiny)
-    w = np.linalg.eigvalsh(mat)
-    if w[0] <= floor:
+    D = np.einsum("abcd,nb,nd->nac", C.c, nodes, nodes, optimize=False)
+    floor = NEAR_SINGULAR_FLOOR * np.maximum(np.abs(D).max(axis=(1, 2)), np.finfo(float).tiny)
+    low = np.linalg.eigvalsh(D)[:, 0]
+    bad = np.flatnonzero(low <= floor)
+    if len(bad):
+        k = bad[0]
         raise NearSingularError(
-            f"acoustic tensor nearly singular: min eigenvalue {w[0]:.3e} <= floor {floor:.3e}"
+            f"acoustic tensor nearly singular at {len(bad)} sphere node(s): min eigenvalue "
+            f"{low[k]:.3e} <= floor {floor[k]:.3e} at z = {nodes[k].round(4).tolist()}"
         )
-    return np.linalg.inv(mat)
-
-
-def isotropic_acoustic_inverse(lam, mu, z):
-    """Closed-form D(z)^-1 for a unit direction z and isotropic (lam, mu)."""
-    z = np.asarray(z, dtype=float)
-    return (np.eye(3) - (lam + mu) / (lam + 2 * mu) * np.outer(z, z)) / mu
+    return np.linalg.inv(D)

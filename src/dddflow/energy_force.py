@@ -21,23 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .calibration import BOUND_CONSTANTS
-from .elasticity import ALTERNATING
-from .geometry import mass, mass_ratio, pushforward
 from .kernels import MollifierProfile, eta
 
 __all__ = [
     "LineQuadratureRule",
     "EnergyBreakdown",
     "ForceField",
-    "BoundCheck",
     "energy_line",
     "energy_surface",
     "energy_and_gradient",
-    "discrete_energy_gradient",
     "pk_force",
-    "force_bound_report",
-    "continuity_check",
 ]
 
 
@@ -46,7 +39,7 @@ class LineQuadratureRule:
 
     def __init__(self, order=4):
         if order < 1:
-            raise ValueError("order must be >= 1")
+            raise ValueError(f"order must be >= 1, got {order}")
         x, w = np.polynomial.legendre.leggauss(order)
         self.order = order
         self.points = 0.5 * (x + 1.0)
@@ -66,19 +59,6 @@ class ForceField:
     G: np.ndarray  # (n, 3) auxiliary field before the tangent cross product
     tangents: np.ndarray  # (n, 3) node tangents used for the projection
     hairpin: np.ndarray  # (n,) flags for degenerate-tangent nodes
-
-
-@dataclass
-class BoundCheck:
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self):
-        if self.rhs == 0.0:
-            return 0.0 if self.lhs == 0.0 else np.inf
-        return self.lhs / self.rhs
 
 
 class _GaussCloud:
@@ -298,10 +278,6 @@ def energy_and_gradient(network, ev, rule):
     return energy, grad
 
 
-def discrete_energy_gradient(network, ev, rule):
-    return energy_and_gradient(network, ev, rule)[1]
-
-
 def pk_force(network, ev, rule):
     """Peach-Koehler force density at the nodes via the line formula.
 
@@ -361,71 +337,3 @@ def energy_surface(surfaces, ev):
 
     (energy,) = _sweep(ev, (2,), P, a9, None, reduce)
     return float(energy)
-
-
-def pk_force_surface_form(loop, surface, ev):
-    """Cross-check variant of the auxiliary field G via the spanning surface.
-
-    Uses the Stokes-transformed pair sum with the second kernel
-    derivative; the sign is fixed by agreement with the line formula.
-    Returns G at the loop nodes.
-    """
-    b = loop.burgers.cartesian
-    P, a9 = _surface_cloud([surface])
-
-    def reduce(lo, hi, corr):
-        z = ev.nodes[lo:hi]
-        fkz = ev.fk[lo:hi].reshape(-1, 3, 3, 3, 3)
-        # P_kcf = A_def A_klm fk_alcd b_a z_m z_e
-        pk = np.einsum(
-            "def,klm,nalcd,a,nm,ne->nkcf", ALTERNATING, ALTERNATING, fkz, b, z, z, optimize=True
-        )
-        return (np.einsum("n,nkx,nsx->sk", ev.weights[lo:hi], pk.reshape(-1, 3, 9), corr[0]),)
-
-    (G,) = _sweep(ev, (2,), P, a9, loop.nodes, reduce)
-    return G
-
-
-def _grad_tau_inf(network, g):
-    """Max segment-wise tangential derivative of a node field g."""
-    layout = network.layout
-    return float((np.linalg.norm(g[layout.succ] - g, axis=1) / layout.seg_len).max())
-
-
-def force_bound_report(network, field):
-    """lhs/rhs rows for the force magnitude bounds, using the calibrated
-    prefactors and the lower-bound mass-ratio estimator."""
-    m = mass(network)
-    theta = mass_ratio(network)
-    eps = network.epsilon
-    bmax = network.max_burgers_norm()
-    logterm = np.log(1.0 + 2.0 * m / (eps * theta))
-    f_inf = float(np.linalg.norm(field.density, axis=1).max())
-    f_l2 = float(np.sqrt((field.lumped * (field.density**2).sum(axis=1)).sum()))
-    return [
-        BoundCheck(
-            "pk_linf",
-            f_inf,
-            BOUND_CONSTANTS["pk_linf"] / eps * bmax * theta * logterm,
-        ),
-        BoundCheck(
-            "pk_l2",
-            f_l2,
-            BOUND_CONSTANTS["pk_l2"] / eps * bmax * np.sqrt(m) * theta * logterm,
-        ),
-    ]
-
-
-def continuity_check(network, g, ev, rule):
-    """Deformation continuity of the force: compare node forces before and
-    after displacing by g (the polyline pullback is node correspondence)."""
-    g = np.asarray(g, dtype=float)
-    f0 = pk_force(network, ev, rule)
-    moved = pushforward(network, g)
-    f1 = pk_force(moved, ev, rule)
-    lhs = float(np.linalg.norm(f1.density - f0.density, axis=1).max())
-    m = mass(network)
-    c = BOUND_CONSTANTS["continuity"]
-    g_inf = float(np.linalg.norm(g, axis=1).max())
-    rhs = (1.0 + c * m) * _grad_tau_inf(network, g) + c * m * g_inf
-    return BoundCheck("continuity", lhs, rhs)

@@ -21,9 +21,5 @@ class NotIsotropicError(DDDError):
     """Operation requires an isotropic stiffness tensor."""
 
 
-class ConstraintError(DDDError):
-    """Velocity violates the line-orthogonality constraint."""
-
-
 class SolverError(DDDError):
     """Velocity solve failed or produced an unusable mesh."""

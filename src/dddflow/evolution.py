@@ -227,6 +227,9 @@ def solve_velocity(network, force_density, model):
 
 
 def _bound_ratios(network, model, vf, f_inf, mass_now, theta, t_now, mass0):
+    """The monitored bounds (ap_vel, pk_linf, length_rate, mass), each as
+    its left-hand side over the right-hand side with the calibrated
+    constant; the one statement of these bounds."""
     eps = network.epsilon
     bmax = network.max_burgers_norm()
     gam = min(model.alpha, model.beta())

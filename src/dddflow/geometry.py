@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 MIN_SEGMENT = 1e-12
+# Largest half-width of the shortest-vector enumeration window, whose
+# (2 * window + 1)^3 candidates are held at once (240 MB and 1 s at 64).
+MAX_LATTICE_WINDOW = 64
 
 
 class Lattice:
@@ -37,6 +40,8 @@ class Lattice:
         b = np.asarray(basis, dtype=float)
         if b.shape != (3, 3):
             raise GeometryError("lattice basis must be a 3x3 matrix")
+        if not np.isfinite(b).all():
+            raise GeometryError("lattice basis must be finite")
         det = np.linalg.det(b)
         if abs(det) < 1e-300:
             raise GeometryError("lattice basis is singular")
@@ -51,6 +56,11 @@ class Lattice:
         binv = np.linalg.inv(b)
         r0 = np.linalg.norm(b, axis=0).min()
         bound = int(np.ceil(np.linalg.norm(binv, 2) * r0)) + 1
+        if bound > MAX_LATTICE_WINDOW:
+            raise GeometryError(
+                f"lattice basis too ill-conditioned: the shortest-vector search needs "
+                f"window {bound} > {MAX_LATTICE_WINDOW}"
+            )
         rng = np.arange(-bound, bound + 1)
         I, J, K = np.meshgrid(rng, rng, rng, indexing="ij")
         coords = np.stack([I.ravel(), J.ravel(), K.ravel()], axis=1)

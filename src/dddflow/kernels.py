@@ -23,8 +23,8 @@ decay scan builds its own equator-refined rules).
 import numpy as np
 from scipy.special import erf
 
-from .elasticity import ALTERNATING, NEAR_SINGULAR_FLOOR, acoustic_inverse, acoustic_tensor
-from .errors import NearSingularError, NotIsotropicError
+from .elasticity import ALTERNATING, _dinv_stack
+from .errors import NotIsotropicError
 from .calibration import N_PHI
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "DecayCheckReport",
     "eta",
     "sphere_sum",
-    "eval_K",
-    "eval_gradK",
-    "eval_J",
     "eval_K_direct",
     "decay_bound_scan",
     "polar_order_for",
@@ -88,10 +85,12 @@ class SphericalQuadrature:
     @classmethod
     def product_rule(cls, n_polar=24, n_azimuthal=48, hemisphere=True):
         """Gauss-Legendre in cos(theta) x midpoint rule in phi."""
-        if n_polar < 2 or n_azimuthal < 4:
-            raise ValueError("quadrature order too small")
+        if n_polar < 2:
+            raise ValueError(f"polar order must be >= 2, got {n_polar}")
+        if n_azimuthal < 4:
+            raise ValueError(f"azimuthal order must be >= 4, got {n_azimuthal}")
         if hemisphere and n_polar % 2:
-            raise ValueError("hemisphere rule needs an even polar order")
+            raise ValueError(f"hemisphere rule needs an even polar order, got {n_polar}")
         x, w = np.polynomial.legendre.leggauss(n_polar)
         phi = 2.0 * np.pi * (np.arange(n_azimuthal) + 0.5) / n_azimuthal
         wphi = 2.0 * np.pi / n_azimuthal
@@ -167,22 +166,6 @@ def polar_order_for(s_max_over_eps):
     return max(24, 2 * (int(np.ceil(1.1 * s_max_over_eps)) + 10))
 
 
-def _dinv_stack(C, nodes):
-    """D(z)^-1 at every node, each D(z) held to the near-singularity floor
-    of `acoustic_inverse`."""
-    D = np.einsum("abcd,nb,nd->nac", C.c, nodes, nodes, optimize=False)
-    floor = NEAR_SINGULAR_FLOOR * np.maximum(np.abs(D).max(axis=(1, 2)), np.finfo(float).tiny)
-    low = np.linalg.eigvalsh(D)[:, 0]
-    bad = np.flatnonzero(low <= floor)
-    if len(bad):
-        k = bad[0]
-        raise NearSingularError(
-            f"acoustic tensor nearly singular at {len(bad)} sphere node(s): min eigenvalue "
-            f"{low[k]:.3e} <= floor {floor[k]:.3e} at z = {nodes[k].round(4).tolist()}"
-        )
-    return np.linalg.inv(D)
-
-
 def _k_factor_stack(C, nodes):
     """Per-node K factor, shaped (n, 9, 9) and symmetrized.
 
@@ -217,37 +200,6 @@ def _j_factor_stack(C, nodes):
     f = -0.5 * (cc[None, :, :, :, :] - t2)
     f9 = f.reshape(-1, 9, 9)
     return 0.5 * (f9 + np.transpose(f9, (0, 2, 1)))
-
-
-def spherical_factor_reference(C, z):
-    """From-scratch loop evaluation of the K factor at one node (slow)."""
-    dinv = acoustic_inverse(acoustic_tensor(C, z))
-    cc = C.c
-    A = ALTERNATING
-    X = np.zeros((3, 3, 3, 3))
-    for a in range(3):
-        for e in range(3):
-            for f in range(3):
-                for b in range(3):
-                    acc = 0.0
-                    for i in range(3):
-                        for j in range(3):
-                            for k in range(3):
-                                acc += cc[a, i, j, k] * z[k] * dinv[e, j] * A[f, i, b]
-                    X[a, e, f, b] = acc
-    F = np.zeros((3, 3, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    acc = 0.0
-                    for e in range(3):
-                        for f in range(3):
-                            for g in range(3):
-                                for h in range(3):
-                                    acc += cc[e, f, g, h] * X[a, e, f, b] * X[c, g, h, d]
-                    F[a, b, c, d] = 0.5 * acc
-    return F
 
 
 class KernelEvaluator:
@@ -303,21 +255,6 @@ def sphere_sum(ev, S, order=0, factor=None, directions=None):
             W = W * (ev.nodes @ np.asarray(d, dtype=float))
     F = ev.fk if factor is None else factor
     return (W @ F.reshape(-1, 81)).reshape(-1, 3, 3, 3, 3)
-
-
-def eval_K(ev, s):
-    """K(s) as a (3,3,3,3) tensor; smooth for every s including 0."""
-    return sphere_sum(ev, s)[0]
-
-
-def eval_gradK(ev, s):
-    """dK_abcd/ds_e at s, shape (3,3,3,3,3) with the derivative index last."""
-    return np.stack([sphere_sum(ev, s, 1, directions=[e])[0] for e in np.eye(3)], axis=-1)
-
-
-def eval_J(ev, s):
-    """J(s) as a (3,3,3,3) tensor."""
-    return sphere_sum(ev, s, 2, ev.fj)[0]
 
 
 class DecayCheckReport:
@@ -501,7 +438,7 @@ def eval_K_direct(
     gradient fields on a polar grid centered between the two field
     origins, then removes the algebraic 1/R truncation tail by Richardson
     extrapolation over nested ball radii.  This is the convention-free
-    definition of the kernel and serves as the oracle for `eval_K`.
+    definition of the kernel and serves as the oracle for `sphere_sum`.
     """
     if not C.is_isotropic():
         raise NotIsotropicError("real-space oracle implemented for isotropic C only")

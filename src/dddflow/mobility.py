@@ -1,19 +1,16 @@
-"""Dissipation model: gradient penalty, drag matrices, and the convex
-velocity potential with its conjugate.
+"""Dissipation model: gradient penalty and drag matrices.
 
-The velocity potential is psi(b, tau, v) = 1/2 v.Bdag(b,tau) v on the
-constraint plane v.tau = 0 and +inf off it; its Legendre-Fenchel
-conjugate is psi*(b, tau, f) = 1/2 f.B(b,tau) f, and v = B f is the
-force-velocity relation.  B maps force density to velocity, so the drag
-parameters below are mobilities.
+The drag matrices define the convex velocity potential
+psi(b, tau, v) = 1/2 v.Bdag(b,tau) v on the constraint plane v.tau = 0
+(+inf off it) and its Legendre-Fenchel conjugate
+psi*(b, tau, f) = 1/2 f.B(b,tau) f, so v = B f is the force-velocity
+relation.  B maps force density to velocity, so the drag parameters
+below are mobilities.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConstraintError
 
 __all__ = [
     "IsotropicDrag",
@@ -21,9 +18,6 @@ __all__ = [
     "MobilityModel",
     "DragMatrix",
     "drag_matrix",
-    "psi",
-    "psi_star",
-    "dpsi_perp",
 ]
 
 
@@ -81,10 +75,9 @@ class MobilityModel:
 class DragMatrix:
     """Symmetric PSD mobility matrix with tangent kernel, plus pseudo-inverse."""
 
-    def __init__(self, matrix, pseudo_inverse, tangent):
+    def __init__(self, matrix, pseudo_inverse):
         self.matrix = matrix
         self.pseudo_inverse = pseudo_inverse
-        self.tangent = tangent
 
 
 def _projector(tau):
@@ -148,33 +141,5 @@ def drag_matrix(model, b, tau):
     P = _projector(tau)
     if isinstance(model.drag, IsotropicDrag):
         m = model.drag.m
-        return DragMatrix(P / m, m * P, tau)
-    return DragMatrix(*_bcc_drag(model.drag, b, tau, P, model.screw_tolerance), tau)
-
-
-def psi(model, b, tau, v):
-    """Velocity potential; +inf off the constraint plane v.tau = 0."""
-    tau = _check_unit(tau)
-    v = np.asarray(v, dtype=float)
-    if abs(v @ tau) > 1e-10 * max(np.linalg.norm(v), 1e-300):
-        return math.inf
-    D = drag_matrix(model, b, tau)
-    return 0.5 * float(v @ D.pseudo_inverse @ v)
-
-
-def psi_star(model, b, tau, f):
-    """Conjugate potential 1/2 f.Bf; finite for every force."""
-    tau = _check_unit(tau)
-    f = np.asarray(f, dtype=float)
-    D = drag_matrix(model, b, tau)
-    return 0.5 * float(f @ D.matrix @ f)
-
-
-def dpsi_perp(model, b, tau, v):
-    """Gradient of psi in the directions perpendicular to tau."""
-    tau = _check_unit(tau)
-    v = np.asarray(v, dtype=float)
-    if abs(v @ tau) > 1e-10 * max(np.linalg.norm(v), 1.0):
-        raise ConstraintError("velocity violates v.tau = 0")
-    D = drag_matrix(model, b, tau)
-    return _projector(tau) @ (D.pseudo_inverse @ v)
+        return DragMatrix(P / m, m * P)
+    return DragMatrix(*_bcc_drag(model.drag, b, tau, P, model.screw_tolerance))

@@ -94,7 +94,7 @@ def energy_csv(breakdown):
     L = breakdown.matrix.shape[0]
     for i in range(L):
         for j in range(L):
-            lines.append(f"{i},{j},{breakdown.matrix[i, j]!r}")
+            lines.append(f"{i},{j},{float(breakdown.matrix[i, j])!r}")
     lines.append(f"total,,{breakdown.total!r}")
     return "\n".join(lines) + "\n"
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dddflow import cli, netio
+from dddflow import energy_force as EF
 from dddflow import geometry as GE
 from dddflow import shapes as SH
 from dddflow.config import load_config, loads_config
@@ -39,6 +40,9 @@ def test_minimal_config_fills_defaults():
         ('{"epsilon": 0.1, "stepping": {"dt_max": NaN}}', "stepping.dt_max"),
         ('{"epsilon": 0.1, "elasticity": {"isotropic": {"lambda": Infinity}}}', "lambda"),
         ('{"epsilon": 0.1, "elasticity": {"full": ["a"' + ", 0" * 80 + "]}}", "elasticity.full"),
+        ('{"epsilon": 0.1, "quadrature": {"sphere_polar": 3}}', "quadrature.sphere_polar"),
+        ('{"epsilon": 0.1, "quadrature": {"sphere_azimuthal": 2}}', "quadrature.sphere_azimuthal"),
+        ('{"epsilon": 0.1, "quadrature": {"line_order": 0}}', "quadrature.line_order"),
     ],
 )
 def test_config_errors_name_the_key(text, needle):
@@ -143,10 +147,10 @@ def test_kernel_table(lat, ev_unit):
     header = lines[0].split(",")
     assert len(header) == 3 + 81 + 243
     assert header[3] == "K_1111" and header[84] == "dK_1111_1"
-    from dddflow.kernels import eval_K
+    from dddflow.kernels import sphere_sum
 
     row = np.array([float(v) for v in lines[1].split(",")])
-    want = eval_K(ev_unit, pts[0]).ravel()
+    want = sphere_sum(ev_unit, pts)[0].ravel()
     assert np.allclose(row[3:84], want, rtol=1e-15)
 
 
@@ -169,7 +173,14 @@ def test_cli_energy_force_table_render(lat, tmp_path, capsys):
     netpath, cfgpath = _write_inputs(tmp_path, lat)
     out = tmp_path / "e.csv"
     assert cli.main(["energy", "--input", str(netpath), "--config", str(cfgpath), "--out", str(out)]) == 0
-    assert out.read_text().startswith("loop_i,loop_j,energy")
+    header, *rows, total = out.read_text().strip().split("\n")
+    assert header == "loop_i,loop_j,energy"
+    cfg = load_config(cfgpath)
+    want = EF.energy_line(netio.load_network(netpath), cfg.kernel_evaluator(), cfg.line_rule())
+    for row in rows:
+        i, j, value = row.split(",")
+        assert float(value) == want.matrix[int(i), int(j)]
+    assert total.startswith("total,,") and float(total[7:]) == want.total
     fout = tmp_path / "f.csv"
     assert cli.main(["force", "--input", str(netpath), "--config", str(cfgpath), "--out", str(fout)]) == 0
     assert fout.read_text().startswith("node,x,y,z,fx,fy,fz,lumped_length")
@@ -212,10 +223,16 @@ def test_cli_exit_codes(lat, tmp_path):
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "2,2"]) == 1
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "2,-1,2"]) == 1
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "0,2,2"]) == 1
+    # usage: quadrature orders that no rule accepts, before any suite runs
+    assert cli.main(["check", "--sphere-polar", "3"]) == 1
+    assert cli.main(["check", "--sphere-azimuthal", "2"]) == 1
     # config: malformed file
     bad = tmp_path / "bad.json"
     bad.write_text('{"epsilon": -2}')
     assert cli.main(["energy", "--input", str(netpath), "--config", str(bad)]) == 2
+    for quadrature in ('{"sphere_azimuthal": 2}', '{"line_order": 0}'):
+        bad.write_text('{"epsilon": 0.1, "quadrature": ' + quadrature + "}")
+        assert cli.main(["energy", "--input", str(netpath), "--config", str(bad)]) == 2
     assert cli.main(["energy", "--input", str(netpath), "--config", str(tmp_path / "nope.json")]) == 2
     # blow-up: tiny theta_max plus --fail-on-blowup
     netpath2, cfgpath2 = _write_inputs(tmp_path, lat, extra_cfg={"theta_max": 1.5})

@@ -5,6 +5,9 @@ evaluated pair by pair with the closed-form profile.  Swapping it in
 gives the pair-sum value of every consumer.  The kernel-level pair sums
 (K, grad K and J from `kernels.sphere_sum` at every point difference)
 check the consumers' assembly independently of the correlation form.
+`pk_force_surface_form` is a further consumer of the engine: the force's
+auxiliary field from a spanning surface, a cross-check of the line
+formula.
 """
 
 from unittest import mock
@@ -44,6 +47,27 @@ def exact_correlate(ev, orders, src_t, src_a, dst_t, src_group=None, n_groups=1)
 def pair_sum(fn, *args):
     with mock.patch.object(EF, "_correlate", exact_correlate):
         return fn(*args)
+
+
+def pk_force_surface_form(loop, surface, ev):
+    """The auxiliary field G of `pk_force` at the loop nodes, via the
+    spanning surface: the Stokes-transformed pair sum with the second
+    kernel derivative.  The sign is fixed by agreement with the line
+    formula."""
+    b = loop.burgers.cartesian
+    P, a9 = EF._surface_cloud([surface])
+
+    def reduce(lo, hi, corr):
+        z = ev.nodes[lo:hi]
+        fkz = ev.fk[lo:hi].reshape(-1, 3, 3, 3, 3)
+        # P_kcf = A_def A_klm fk_alcd b_a z_m z_e
+        pk = np.einsum(
+            "def,klm,nalcd,a,nm,ne->nkcf", ALTERNATING, ALTERNATING, fkz, b, z, z, optimize=True
+        )
+        return (np.einsum("n,nkx,nsx->sk", ev.weights[lo:hi], pk.reshape(-1, 3, 9), corr[0]),)
+
+    (G,) = EF._sweep(ev, (2,), P, a9, loop.nodes, reduce)
+    return G
 
 
 def rel(got, want):
@@ -142,9 +166,7 @@ def test_surface_engine_matches_pair_oracle(case):
     loop, surf, ev = case
     es, es_pair = EF.energy_surface([surf], ev), pair_sum(EF.energy_surface, [surf], ev)
     assert abs(es - es_pair) <= TOL * abs(es_pair)
-    G, G_pair = EF.pk_force_surface_form(loop, surf, ev), pair_sum(
-        EF.pk_force_surface_form, loop, surf, ev
-    )
+    G, G_pair = pk_force_surface_form(loop, surf, ev), pair_sum(pk_force_surface_form, loop, surf, ev)
     assert rel(G, G_pair) <= TOL
     # slip energy from J at every quadrature-point pair
     P, a9 = EF._surface_cloud([surf])
@@ -185,3 +207,14 @@ def test_loop_pair_matrix_symmetric(case):
     net, ev = case
     B = EF.energy_line(net, ev, RULE).matrix
     assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
+
+
+def test_surface_form_force_cross_check(lat, rule4):
+    eps = 0.1
+    ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(eps))
+    loop = SH.circle_loop(lat, 0.8, 48)
+    surf = GE.make_planar_surface(loop).refined().refined()
+    g_line = EF.pk_force(SH.single_loop_network(loop, eps), ev, rule4).G
+    g_surf = pk_force_surface_form(loop, surf, ev)
+    err = np.linalg.norm(g_surf - g_line, axis=1).max() / np.linalg.norm(g_line, axis=1).max()
+    assert err < 0.02

@@ -3,9 +3,12 @@ import pytest
 
 from dddflow import elasticity as EL
 from dddflow import energy_force as EF
+from dddflow import evolution as EV
 from dddflow import geometry as GE
 from dddflow import kernels as KN
+from dddflow import mobility as MB
 from dddflow import shapes as SH
+from dddflow.calibration import BOUND_CONSTANTS
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +80,7 @@ def test_gradient_matches_fd_subset(three_loop_net, ev_quarter, rule4):
 
 
 def test_gradient_sums_to_zero(three_loop_net, ev_quarter, rule4):
-    grad = EF.discrete_energy_gradient(three_loop_net, ev_quarter, rule4)
+    grad = EF.energy_and_gradient(three_loop_net, ev_quarter, rule4)[1]
     assert np.abs(grad.sum(axis=0)).max() <= 1e-10 * np.abs(grad).max()
 
 
@@ -117,7 +120,7 @@ def test_force_equals_minus_gradient_density(lat, rule4):
     ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(eps))
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 126), eps)
     ff = EF.pk_force(net, ev, rule4)
-    fg = -EF.discrete_energy_gradient(net, ev, rule4) / ff.lumped[:, None]
+    fg = -EF.energy_and_gradient(net, ev, rule4)[1] / ff.lumped[:, None]
     err = np.linalg.norm(fg - ff.density, axis=1).max() / np.linalg.norm(ff.density, axis=1).max()
     assert err < 0.01  # first-order consistent densities at h ~ eps/2
 
@@ -144,25 +147,26 @@ def test_surface_energy_orientation_invariance(lat):
     assert e1 == pytest.approx(e2, rel=1e-12)
 
 
-def test_surface_form_force_cross_check(lat, rule4):
-    eps = 0.1
-    ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(eps))
-    loop = SH.circle_loop(lat, 0.8, 48)
-    surf = GE.make_planar_surface(loop).refined().refined()
-    g_line = EF.pk_force(SH.single_loop_network(loop, eps), ev, rule4).G
-    g_surf = EF.pk_force_surface_form(loop, surf, ev)
-    err = np.linalg.norm(g_surf - g_line, axis=1).max() / np.linalg.norm(g_line, axis=1).max()
-    assert err < 0.02
+def force_bound_ratios(net, field):
+    """pk_linf through the run's monitor, and pk_l2 (which no run monitors):
+    |f|_2 <= C_pk_l2 / eps |b|_max sqrt(M) theta log(1 + 2 M / (eps theta))."""
+    model = MB.MobilityModel(alpha=1.0, drag=MB.IsotropicDrag(m=1.0))
+    vf = EV.solve_velocity(net, field.density, model)
+    m, theta, eps = GE.mass(net), GE.mass_ratio(net), net.epsilon
+    f_inf = float(np.linalg.norm(field.density, axis=1).max())
+    r_linf = EV._bound_ratios(net, model, vf, f_inf, m, theta, 0.0, m)[1]
+    f_l2 = float(np.sqrt((field.lumped * (field.density**2).sum(axis=1)).sum()))
+    logterm = np.log(1.0 + 2.0 * m / (eps * theta))
+    rhs_l2 = BOUND_CONSTANTS["pk_l2"] / eps * net.max_burgers_norm() * np.sqrt(m) * theta * logterm
+    return {"pk_linf": r_linf, "pk_l2": f_l2 / rhs_l2}
 
 
 def test_force_bound_report(lat, rule4):
     eps = 0.1
     ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(eps))
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 64), eps)
-    checks = EF.force_bound_report(net, EF.pk_force(net, ev, rule4))
-    assert {c.name for c in checks} == {"pk_linf", "pk_l2"}
-    for c in checks:
-        assert c.ratio < 1.0
+    for ratio in force_bound_ratios(net, EF.pk_force(net, ev, rule4)).values():
+        assert ratio < 1.0
 
 
 def test_force_bound_scale_covariance(lat, rule4):
@@ -189,23 +193,34 @@ def test_force_bound_zero_field(lat):
         density=np.zeros((16, 3)), lumped=lumped, G=np.zeros((16, 3)),
         tangents=taus, hairpin=np.zeros(16, bool),
     )
-    for c in EF.force_bound_report(net, field):
-        assert c.lhs == 0.0 <= c.rhs
-        assert c.ratio == 0.0
+    assert force_bound_ratios(net, field) == {"pk_linf": 0.0, "pk_l2": 0.0}
+
+
+def continuity(net, g, ev, rule):
+    """Deformation continuity of the force (which no run monitors), as
+    (lhs, rhs) of |f(x + g) - f(x)|_inf
+    <= (1 + C M) |d_tau g|_inf + C M |g|_inf; the polyline pullback is
+    node correspondence."""
+    f0 = EF.pk_force(net, ev, rule).density
+    f1 = EF.pk_force(GE.pushforward(net, g), ev, rule).density
+    lhs = float(np.linalg.norm(f1 - f0, axis=1).max())
+    layout = net.layout
+    grad_inf = float((np.linalg.norm(g[layout.succ] - g, axis=1) / layout.seg_len).max())
+    cm = BOUND_CONSTANTS["continuity"] * GE.mass(net)
+    return lhs, (1.0 + cm) * grad_inf + cm * float(np.linalg.norm(g, axis=1).max())
 
 
 def test_continuity_check(lat, rule4, rng):
     eps = 0.1
     ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(eps))
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 48), eps)
-    zero = EF.continuity_check(net, np.zeros((48, 3)), ev, rule4)
-    assert zero.lhs == 0.0
-    shift = EF.continuity_check(net, np.tile([0.3, 0.1, -0.2], (48, 1)), ev, rule4)
+    assert continuity(net, np.zeros((48, 3)), ev, rule4)[0] == 0.0
+    shift_lhs, shift_rhs = continuity(net, np.tile([0.3, 0.1, -0.2], (48, 1)), ev, rule4)
     f_scale = np.linalg.norm(EF.pk_force(net, ev, rule4).density, axis=1).max()
-    assert shift.lhs <= 1e-10 * f_scale and shift.rhs > 0
+    assert shift_lhs <= 1e-10 * f_scale and shift_rhs > 0
     g = 1e-3 * eps * rng.normal(size=(48, 3))
-    small = EF.continuity_check(net, g, ev, rule4)
-    assert small.lhs <= small.rhs
+    small_lhs, small_rhs = continuity(net, g, ev, rule4)
+    assert small_lhs <= small_rhs
 
 
 def test_empty_network_errors(lat, ev_quarter, rule4):

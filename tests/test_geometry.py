@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dddflow import geometry as GE
+from dddflow import netio
 from dddflow import shapes as SH
-from dddflow.errors import GeometryError
+from dddflow.errors import ConfigError, GeometryError
 
 
-def test_lattice_normalization():
+def test_lattice_normalization(monkeypatch):
     lat = GE.Lattice(2.0 * np.eye(3))
     assert np.allclose(lat.basis, np.eye(3))
     fcc = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -18,6 +19,20 @@ def test_lattice_normalization():
     assert shortest == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(GeometryError):
         GE.Lattice(np.zeros((3, 3)))
+
+    # rejected before the enumeration allocates anything
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the rejected basis reached the enumeration")
+
+    monkeypatch.setattr(GE.np, "meshgrid", no_enumeration)
+    # a cubic lattice in a sheared basis: (2 * 402 + 1)^3 candidates, 3.9 GiB
+    sheared = [[1.0, 400.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(GeometryError, match="window 402 > 64"):
+        GE.Lattice(sheared)
+    with pytest.raises(ConfigError, match="window"):
+        netio.network_from_dict({"format": "ddd-net/1", "epsilon": 0.1, "lattice": sheared, "loops": []})
+    with pytest.raises(GeometryError, match="finite"):
+        GE.Lattice([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_burgers_vector_validation(lat):

@@ -4,7 +4,49 @@ import pytest
 from dddflow import elasticity as EL
 from dddflow import kernels as KN
 from dddflow.calibration import N_PHI
+from dddflow.elasticity import ALTERNATING
 from dddflow.errors import NearSingularError, NotIsotropicError
+
+
+def spherical_factor_reference(C, z):
+    """From-scratch loop evaluation of the K factor at one node (slow):
+    FK(z) = 1/2 C_efgh X_aefb X_cghd with X_aefb = C_aijk z_k Dinv_ej A_fib."""
+    cc = C.c
+    D = np.zeros((3, 3))
+    for a in range(3):
+        for c in range(3):
+            D[a, c] = sum(cc[a, b, c, d] * z[b] * z[d] for b in range(3) for d in range(3))
+    dinv = np.linalg.inv(D)
+    A = ALTERNATING
+    X = np.zeros((3, 3, 3, 3))
+    for a in range(3):
+        for e in range(3):
+            for f in range(3):
+                for b in range(3):
+                    acc = 0.0
+                    for i in range(3):
+                        for j in range(3):
+                            for k in range(3):
+                                acc += cc[a, i, j, k] * z[k] * dinv[e, j] * A[f, i, b]
+                    X[a, e, f, b] = acc
+    F = np.zeros((3, 3, 3, 3))
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                for d in range(3):
+                    acc = 0.0
+                    for e in range(3):
+                        for f in range(3):
+                            for g in range(3):
+                                for h in range(3):
+                                    acc += cc[e, f, g, h] * X[a, e, f, b] * X[c, g, h, d]
+                    F[a, b, c, d] = 0.5 * acc
+    return F
+
+
+def grad_k(ev, S):
+    """dK_abcd/ds_e at a batch of points, derivative index last."""
+    return np.stack([KN.sphere_sum(ev, S, 1, directions=[e]) for e in np.eye(3)], axis=-1)
 
 
 def test_eta_closed_form():
@@ -67,37 +109,35 @@ def test_hemisphere_matches_full_rule_on_even_integrands(rng):
 def test_cached_factors_match_reference(iso11, ev_unit):
     for idx in (0, 17, len(ev_unit.nodes) - 1):
         z = ev_unit.nodes[idx]
-        ref = KN.spherical_factor_reference(iso11, z).reshape(9, 9)
+        ref = spherical_factor_reference(iso11, z).reshape(9, 9)
         got = ev_unit.fk[idx]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_kernel_symmetries_bit_exact(ev_unit, rng):
-    for _ in range(10):
-        s = rng.normal(size=3) * rng.uniform(0, 40)
-        K = KN.eval_K(ev_unit, s)
-        assert np.array_equal(K, K.transpose(2, 3, 0, 1))
-        assert np.array_equal(K, KN.eval_K(ev_unit, -s))
-        J = KN.eval_J(ev_unit, s)
-        assert np.array_equal(J, KN.eval_J(ev_unit, -s))
+    S = np.array([rng.normal(size=3) * rng.uniform(0, 40) for _ in range(10)])
+    K, K_neg = KN.sphere_sum(ev_unit, S), KN.sphere_sum(ev_unit, -S)
+    J, J_neg = KN.sphere_sum(ev_unit, S, 2, ev_unit.fj), KN.sphere_sum(ev_unit, -S, 2, ev_unit.fj)
+    for k, k_neg, j, j_neg in zip(K, K_neg, J, J_neg):
+        assert np.array_equal(k, k.transpose(2, 3, 0, 1))
+        assert np.array_equal(k, k_neg)
+        assert np.array_equal(j, j_neg)
 
 
 def test_gradK_matches_finite_differences(ev_unit, rng):
     h = 1e-5
-    worst = 0.0
-    for _ in range(50):
-        s = rng.normal(size=3) * rng.uniform(0.1, 5.0)
-        g = KN.eval_gradK(ev_unit, s)
-        fd = np.stack(
-            [(KN.eval_K(ev_unit, s + h * e) - KN.eval_K(ev_unit, s - h * e)) / (2 * h) for e in np.eye(3)],
-            axis=-1,
-        )
-        worst = max(worst, np.abs(g - fd).max() / np.abs(g).max())
+    S = np.array([rng.normal(size=3) * rng.uniform(0.1, 5.0) for _ in range(50)])
+    G = grad_k(ev_unit, S)
+    FD = np.stack(
+        [(KN.sphere_sum(ev_unit, S + h * e) - KN.sphere_sum(ev_unit, S - h * e)) / (2 * h) for e in np.eye(3)],
+        axis=-1,
+    )
+    worst = max(np.abs(g - fd).max() / np.abs(g).max() for g, fd in zip(G, FD))
     assert worst < 1e-6
 
 
 def test_gradK_zero_at_origin(ev_unit):
-    assert np.abs(KN.eval_gradK(ev_unit, np.zeros(3))).max() == 0.0
+    assert np.abs(grad_k(ev_unit, np.zeros(3))).max() == 0.0
 
 
 def test_d2K_matches_finite_differences(ev_unit, rng):
@@ -109,7 +149,7 @@ def test_d2K_matches_finite_differences(ev_unit, rng):
     )  # (3,3,3,3, f, e)
     for e in range(3):
         step = h * E[e]
-        fd = (KN.eval_gradK(ev_unit, s + step) - KN.eval_gradK(ev_unit, s - step)) / (2 * h)
+        fd = (grad_k(ev_unit, s + step)[0] - grad_k(ev_unit, s - step)[0]) / (2 * h)
         assert np.abs(fd - d2[..., e]).max() <= 1e-6 * np.abs(d2).max()
     with pytest.raises(ValueError):
         KN.sphere_sum(ev_unit, s, 2, directions=[E[0]])
@@ -117,10 +157,10 @@ def test_d2K_matches_finite_differences(ev_unit, rng):
 
 def test_J_uniform_bound(ev_unit, rng):
     eps = ev_unit.epsilon
-    j0 = np.abs(KN.eval_J(ev_unit, np.zeros(3))).max()
-    for _ in range(30):
-        s = rng.normal(size=3) * rng.uniform(0, 30)
-        assert np.abs(KN.eval_J(ev_unit, s)).max() <= 2.0 * j0
+    j0 = np.abs(KN.sphere_sum(ev_unit, np.zeros(3), 2, ev_unit.fj)).max()
+    S = np.array([rng.normal(size=3) * rng.uniform(0, 30) for _ in range(30)])
+    for j in KN.sphere_sum(ev_unit, S, 2, ev_unit.fj):
+        assert np.abs(j).max() <= 2.0 * j0
     assert j0 * eps**3 < np.inf
 
 
@@ -128,17 +168,17 @@ def test_batched_evaluations_match_single(ev_unit, rng):
     S = rng.normal(size=(7, 3))
     Km = KN.sphere_sum(ev_unit, S)
     Jm = KN.sphere_sum(ev_unit, S, 2, ev_unit.fj)
-    Gm = np.stack([KN.sphere_sum(ev_unit, S, 1, directions=[e]) for e in np.eye(3)], axis=-1)
+    Gm = grad_k(ev_unit, S)
     for i, s in enumerate(S):
-        assert np.allclose(Km[i], KN.eval_K(ev_unit, s), rtol=1e-13, atol=1e-300)
-        assert np.allclose(Jm[i], KN.eval_J(ev_unit, s), rtol=1e-13, atol=1e-300)
-        assert np.allclose(Gm[i], KN.eval_gradK(ev_unit, s), rtol=1e-12, atol=1e-300)
+        assert np.allclose(Km[i], KN.sphere_sum(ev_unit, s)[0], rtol=1e-13, atol=1e-300)
+        assert np.allclose(Jm[i], KN.sphere_sum(ev_unit, s, 2, ev_unit.fj)[0], rtol=1e-13, atol=1e-300)
+        assert np.allclose(Gm[i], grad_k(ev_unit, s)[0], rtol=1e-12, atol=1e-300)
 
 
 def test_oracle_agreement_two_probes(iso11, ev_unit):
-    for s in (np.array([0.7, -0.3, 1.2]), np.array([0.2, 0.1, -0.4])):
+    S = np.array([[0.7, -0.3, 1.2], [0.2, 0.1, -0.4]])
+    for s, kf in zip(S, KN.sphere_sum(ev_unit, S)):
         kd = KN.eval_K_direct(iso11, ev_unit.profile, s)
-        kf = KN.eval_K(ev_unit, s)
         assert np.abs(kf - kd).max() <= 1e-6 * np.abs(kd).max()
 
 
@@ -162,10 +202,10 @@ def test_far_field_decay_factor(iso11):
     prof = KN.MollifierProfile(1.0)
     rule = KN.SphericalQuadrature.equator_refined(np.array([0.0, 0.0, 1.0]), u_core=0.5)
     ev0 = KN.KernelEvaluator(iso11, prof, rule)
-    k0 = np.abs(KN.eval_K(ev0, np.zeros(3))).max()
+    k0 = np.abs(KN.sphere_sum(ev0, np.zeros(3))).max()
     far = KN.SphericalQuadrature.equator_refined(np.array([0.0, 0.0, 1.0]), u_core=20.0 / 40.0)
     evf = KN.KernelEvaluator(iso11, prof, far)
-    k40 = np.abs(KN.eval_K(evf, np.array([0.0, 0.0, 40.0]))).max()
+    k40 = np.abs(KN.sphere_sum(evf, np.array([0.0, 0.0, 40.0]))).max()
     ratio = k0 / k40
     assert 40.0 / 3.0 <= ratio <= 40.0 * 3.0
 
@@ -184,7 +224,7 @@ def test_self_convergence_rule(iso11):
     ev1 = KN.KernelEvaluator(iso11, prof, KN.SphericalQuadrature.product_rule(n, 2 * n))
     ev2 = KN.KernelEvaluator(iso11, prof, KN.SphericalQuadrature.product_rule(2 * n, 4 * n))
     s = np.array([3.0, -19.0, 4.0])  # |s| ~ 19.8 eps
-    k1, k2 = KN.eval_K(ev1, s), KN.eval_K(ev2, s)
+    k1, k2 = KN.sphere_sum(ev1, s), KN.sphere_sum(ev2, s)
     assert np.abs(k1 - k2).max() <= 1e-9 * np.abs(k2).max()
 
 
