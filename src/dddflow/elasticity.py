@@ -8,7 +8,6 @@ Burgers vector of length 1 are the recommended normalization.
 """
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import NearSingularError
 
@@ -114,6 +113,42 @@ def _unit_sphere_points(u, v):
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
+SOBOL_BITS = 30
+# Direction numbers of Joe & Kuo (new-joe-kuo-6.21201) for dimensions 2-4:
+# degree s of the primitive polynomial, its inner coefficients a as bits,
+# and the initial m_1 .. m_s.  Dimension 1 is van der Corput.
+_SOBOL_POLYNOMIALS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+
+
+def _sobol_directions():
+    v = np.zeros((4, SOBOL_BITS), dtype=np.int64)
+    v[0] = 1 << np.arange(SOBOL_BITS - 1, -1, -1)
+    for j, (s, a, m) in enumerate(_SOBOL_POLYNOMIALS, start=1):
+        v[j, :s] = np.array(m) << (SOBOL_BITS - 1 - np.arange(s))
+        for k in range(s, SOBOL_BITS):
+            x = v[j, k - s] ^ (v[j, k - s] >> s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    x ^= v[j, k - i]
+            v[j, k] = x
+    return v
+
+
+_SOBOL_DIRECTIONS = _sobol_directions()
+
+
+def _sobol_points(m):
+    """First m points of the unscrambled 4-D Sobol sequence in gray-code
+    order, (m, 4) in [0, 1): the points of scipy.stats.qmc.Sobol(d=4,
+    scramble=False).random(m), without importing scipy.stats."""
+    i = np.arange(m, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    x = np.zeros((m, 4), dtype=np.int64)
+    for k in range(SOBOL_BITS):
+        x ^= ((gray >> k) & 1)[:, None] * _SOBOL_DIRECTIONS[:, k]
+    return x / float(1 << SOBOL_BITS)
+
+
 def estimate_lh_constant(C, n_samples):
     """Min of C_abcd v_a k_b v_c k_d over a deterministic low-discrepancy
     sample of unit-vector pairs.
@@ -124,9 +159,7 @@ def estimate_lh_constant(C, n_samples):
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    m = int(n_samples)
-    sob = qmc.Sobol(d=4, scramble=False)
-    pts = sob.random(m)
+    pts = _sobol_points(int(n_samples))
     v = _unit_sphere_points(pts[:, 0], pts[:, 1])
     k = _unit_sphere_points(pts[:, 2], pts[:, 3])
     vals = np.einsum("abcd,na,nb,nc,nd->n", C.c, v, k, v, k, optimize=False)

@@ -15,6 +15,7 @@ nodes are processed in fixed chunks, summed in index order.
 """
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -140,7 +141,17 @@ def _kernel_spectrum(epsilon, order, nfft):
     return spec
 
 
-def _correlate(ev, orders, src_t, src_a, dst_t, src_group=None, n_groups=1):
+def _buffer(buffers, name, shape, dtype):
+    """An uninitialized (shape, dtype) view on the array buffers[name],
+    which is replaced by a larger one when it is too small."""
+    size = math.prod(shape)
+    flat = buffers.get(name)
+    if flat is None or flat.size < size:
+        flat = buffers[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
+
+
+def _correlate(ev, orders, src_t, src_a, dst_t, src_group, n_groups, buffers):
     """sum_j eta^(order)(dst_t[k, i] - src_t[k, j]) src_a[j] for a chunk of
     sphere nodes k, one (zc, n_dst, n_groups * C) array per order.
 
@@ -150,7 +161,8 @@ def _correlate(ev, orders, src_t, src_a, dst_t, src_group=None, n_groups=1):
     convolved by one batched rFFT with the sampled profile derivative,
     deconvolved by the spline's sinc^8 (deposit and gather), and gathered
     with the same spline.  Sources with src_group g land in channels
-    g*C .. g*C + C - 1.
+    g*C .. g*C + C - 1.  The spectrum product and the gathered values go
+    into `buffers` (a dict kept by the caller across chunks).
     """
     prof = ev.profile
     dx = GRID_STEP * prof.epsilon
@@ -174,13 +186,22 @@ def _correlate(ev, orders, src_t, src_a, dst_t, src_group=None, n_groups=1):
     weights = w[:, None] * src_a.T[:, None, :]
     rho = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=zc * channels * nfft)
     spec = scipy.fft.rfft(rho.reshape(zc, channels, nfft), axis=-1)
+    # grid-sized arrays go as soon as they are dead, so that the next one
+    # takes their memory instead of growing the heap
+    del rho
     if dst_t is not src_t:
         idx, w = _bspline(dst_t, lo, dx)
     gather = rows[:, :, None, None] + idx[:, None]
+    product = _buffer(buffers, "product", spec.shape, spec.dtype)
+    gathered = _buffer(buffers, "gathered", gather.shape, np.float64)
     out = []
     for order in orders:
-        conv = scipy.fft.irfft(spec * _kernel_spectrum(prof.epsilon, order, nfft), n=nfft, axis=-1)
-        out.append(np.einsum("ksn,kcsn->knc", w, np.take(conv, gather), optimize=False))
+        np.multiply(spec, _kernel_spectrum(prof.epsilon, order, nfft), out=product)
+        conv = scipy.fft.irfft(product, n=nfft, axis=-1)
+        # every index is in range; mode "raise" would copy through a temporary
+        np.take(conv, gather, out=gathered, mode="clip")
+        out.append(np.einsum("ksn,kcsn->knc", w, gathered, optimize=False))
+        del conv
     return out
 
 
@@ -217,16 +238,20 @@ def _sweep(ev, orders, src, src_a, dst, reduce, src_group=None, n_groups=1):
             dst_a[np.arange(len(src)), src_group] = coords
             dst_a = dst_a.reshape(len(src), -1).T
         expand = np.kron(np.eye(n_groups), basis)
+    # a chunk's large temporaries, allocated afresh, were unmapped and
+    # faulted in again on every chunk under glibc's default mmap threshold
+    # (energy_and_gradient on six sparse loops up to 2x slower, 2-core x86)
+    buffers = {}
     total = None
     for lo in range(0, len(ev.weights), chunk):
         hi = min(lo + chunk, len(ev.weights))
         ts = np.ascontiguousarray(Ts[:, lo:hi].T)
         if dst is None:
-            corr = _correlate(ev, orders, ts, coords, ts, src_group, n_groups)
+            corr = _correlate(ev, orders, ts, coords, ts, src_group, n_groups, buffers)
             corr = [expand.T @ np.matmul(dst_a, c) @ expand for c in corr]
         else:
             td = ts if Td is Ts else np.ascontiguousarray(Td[:, lo:hi].T)
-            corr = _correlate(ev, orders, ts, coords, td, src_group, n_groups)
+            corr = _correlate(ev, orders, ts, coords, td, src_group, n_groups, buffers)
             corr = [(c.reshape(-1, r) @ basis).reshape(hi - lo, -1, n_groups * 9) for c in corr]
         part = reduce(lo, hi, corr)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))

@@ -31,6 +31,10 @@ MIN_SEGMENT = 1e-12
 # Largest half-width of the shortest-vector enumeration window, whose
 # (2 * window + 1)^3 candidates are held at once (240 MB and 1 s at 64).
 MAX_LATTICE_WINDOW = 64
+# mass_ratio works on blocks of this many (center, segment) pairs, and
+# clips at most this many (center, segment, radius) triples at once.
+MASS_RATIO_PAIRS = 1 << 16
+MASS_RATIO_TRIPLES = 1 << 17
 
 
 class Lattice:
@@ -245,24 +249,27 @@ def mass(network):
     return float(sum(lp.burgers.norm * lp.total_length() for lp in network.loops))
 
 
-def _clip_lengths(starts, vecs, seg_len, centers, radii):
-    """Length of each segment inside each ball: shape (n_centers, m, k).
+def _count_below(keys, rows):
+    """Per row i, the number of entries of rows[i] strictly below each
+    keys[i, j], and the stable order that merges keys and rows along
+    axis 1 (a key sorts before the row entries equal to it)."""
+    order = np.argsort(np.concatenate([keys, rows], axis=1), axis=1, kind="stable")
+    below = np.cumsum(order >= keys.shape[1], axis=1)
+    counts = np.empty_like(below)
+    np.put_along_axis(counts, order, below, axis=1)
+    return counts[:, : keys.shape[1]], order
 
-    radii has one row of candidate radii per center.  The (c, m, k)
-    arrays are updated in place: fresh temporaries of that size per step
-    cost more than the arithmetic.
-    """
-    rel = starts[None, :, :] - centers[:, None, :]  # (c, m, 3)
-    a = np.einsum("md,md->m", vecs, vecs)
-    b = 2.0 * np.einsum("cmd,md->cm", rel, vecs)[:, :, None]
-    c0 = np.einsum("cmd,cmd->cm", rel, rel)
-    # disc = b^2 - 4 a (|rel|^2 - r^2)
-    disc = c0[:, :, None] - (radii**2)[:, None, :]
-    disc *= 4.0 * a[None, :, None]
+
+def _clipped_lengths(a, b, c0, seg_len, r):
+    """Length of each segment inside the ball of radius r about a center,
+    from the roots of |rel + t v|^2 = r^2 (a = |v|^2, b = 2 rel.v,
+    c0 = |rel|^2) clipped to t in [0, 1]; one value per entry."""
+    disc = c0 - r**2
+    disc *= 4.0 * a
     np.subtract(b**2, disc, out=disc)
     ok = disc > 0.0
     sq = np.sqrt(np.where(ok, disc, 0.0), out=disc)
-    two_a = 2.0 * a[None, :, None]
+    two_a = 2.0 * a
     t1 = np.subtract(-b, sq)
     t1 /= two_a
     t2 = np.add(-b, sq, out=sq)
@@ -271,7 +278,7 @@ def _clip_lengths(starts, vecs, seg_len, centers, radii):
     frac -= np.clip(t1, 0.0, 1.0, out=t1)
     np.maximum(frac, 0.0, out=frac)
     frac[~ok] = 0.0
-    frac *= seg_len[None, :, None]
+    frac *= seg_len
     return frac
 
 
@@ -285,27 +292,62 @@ def mass_ratio(network):
     deliberately not candidates: on an inscribed polygon they push the
     estimate marginally above the smooth-curve supremum, which the
     acceptance gate treats as the reference value.)
+
+    A ball is convex, so a segment lies inside it once the radius reaches
+    the segment's farther endpoint distance dmax; per center, the full
+    segments are a prefix sum of |b| * length over the sorted radii.
+    Only radii from the center-to-segment distance dmin up to dmax clip a
+    segment, and only those (center, segment, radius) triples are
+    clipped.  The cost is O(N^2 log N) for N nodes plus the triples, a
+    few per center and segment on a remeshed network.
     """
     if network.is_empty():
         raise GeometryError("mass ratio of an empty network")
     layout = network.layout
     nodes, vecs, seg_len = layout.nodes, layout.segments, layout.seg_len
+    n = len(nodes)
     bnorm = np.linalg.norm(layout.burgers, axis=1)
-    centers = nodes
+    a = np.einsum("md,md->m", vecs, vecs)
     best = 0.0
-    # 16 MB blocks: freeing them raises glibc's dynamic mmap threshold, so
-    # the correlation engine's ~1 MB per-chunk arrays are reused from the
-    # heap; with cache-sized blocks here they were unmapped and faulted in
-    # again every chunk (energy_and_gradient 40-100% slower, 2-core x86 VM)
-    block = max(1, int(2e6 / max(len(nodes) * len(seg_len), 1)))
-    for lo in range(0, len(centers), block):
-        cb = centers[lo : lo + block]
-        d = np.linalg.norm(nodes[None, :, :] - cb[:, None, :], axis=2)  # (c, k)
-        radii = np.concatenate([d, np.full((len(cb), 1), 0.5 * network.epsilon)], axis=1)
+    block = max(1, MASS_RATIO_PAIRS // n)
+    for lo in range(0, n, block):
+        cb = nodes[lo : lo + block]
+        nc = len(cb)
+        rel = nodes[None, :, :] - cb[:, None, :]  # (c, m, 3): segment starts
+        d = np.linalg.norm(rel, axis=2)
+        radii = np.concatenate([d, np.full((nc, 1), 0.5 * network.epsilon)], axis=1)
         radii = np.where(radii > 1e-12, radii, 0.5 * network.epsilon)
-        clipped = _clip_lengths(nodes, vecs, seg_len, cb, radii)
-        m_of_r = np.einsum("m,cmk->ck", bnorm, clipped, optimize=False)
-        best = max(best, float((m_of_r / radii).max()))
+        dmax = np.maximum(d, d[:, layout.succ])
+        b = 2.0 * np.einsum("cmd,md->cm", rel, vecs)
+        c0 = np.einsum("cmd,cmd->cm", rel, rel)
+        foot = np.clip(-b / (2.0 * a), 0.0, 1.0)
+        # radii below dmin by this margin clip to exactly 0 despite the
+        # quadratic's rounding (~1e-15 dmax^2), so they need no triple
+        dlow = np.sqrt(np.maximum(c0 + foot * (b + a * foot) - 1e-12 * dmax**2, 0.0))
+        counts, order = _count_below(np.concatenate([dmax, dlow], axis=1), radii)
+        k_hi, k_lo = counts[:, :n], counts[:, n:]
+        r_sorted = np.sort(radii, axis=1)
+        # the radii after segment m's dmax in the merged order hold it whole
+        whole = np.where(order < n, (bnorm * seg_len)[np.minimum(order, n - 1)], 0.0)
+        m_of_r = np.cumsum(whole, axis=1)[order >= 2 * n]
+        # (center, segment) pairs in row-major order, each with its radii
+        # k_lo <= k < k_hi, in slices of at most MASS_RATIO_TRIPLES triples
+        cross = np.maximum(k_hi - k_lo, 0).ravel()
+        ends = np.cumsum(cross)
+        first = ends - cross
+        p0 = 0
+        while p0 < len(cross):
+            p1 = max(p0 + 1, int(np.searchsorted(ends, first[p0] + MASS_RATIO_TRIPLES, "right")))
+            pair = p0 + np.repeat(np.arange(p1 - p0), cross[p0:p1])
+            k = k_lo.ravel()[pair] + first[p0] + np.arange(len(pair)) - first[pair]
+            m = pair % n
+            bins = (pair // n) * (n + 1) + k
+            frac = _clipped_lengths(
+                a[m], b.ravel()[pair], c0.ravel()[pair], seg_len[m], r_sorted.ravel()[bins]
+            )
+            m_of_r += np.bincount(bins, weights=bnorm[m] * frac, minlength=nc * (n + 1))
+            p0 = p1
+        best = max(best, float((m_of_r.reshape(nc, n + 1) / r_sorted).max()))
     return best
 
 

@@ -34,7 +34,7 @@ EXAMPLES = settings(
 )
 
 
-def exact_correlate(ev, orders, src_t, src_a, dst_t, src_group=None, n_groups=1):
+def exact_correlate(ev, orders, src_t, src_a, dst_t, src_group, n_groups, buffers):
     a = src_a
     if src_group is not None:
         a = np.zeros((len(src_a), n_groups, src_a.shape[1]))

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from dddflow import elasticity as EL
 from dddflow.errors import NearSingularError
@@ -52,6 +57,41 @@ def test_lh_estimate_detects_violation():
     # lambda = -3, mu = 1 violates lambda + 2 mu > 0 at v parallel to k
     bad = EL.ElasticityTensor(lame_components(-3.0, 1.0))
     assert EL.estimate_lh_constant(bad, 4096) < 0.0
+
+
+def scipy_sobol(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # m not a power of 2
+        return qmc.Sobol(d=4, scramble=False).random(m)
+
+
+def test_sobol_points_match_scipy():
+    for m in (1, 7, 64, 1000, 4096, 5000):
+        assert np.array_equal(EL._sobol_points(m), scipy_sobol(m))
+
+
+def test_lh_constant_matches_scipy_sobol(lh_violating_cubic):
+    cubic = lame_components(1.0, 1.0)
+    for n in range(3):
+        cubic[n, n, n, n] += 0.6
+    tensors = [
+        EL.make_isotropic(1.0, 1.0),
+        EL.ElasticityTensor(cubic),
+        EL.from_components(lh_violating_cubic),
+    ]
+    for C in tensors:
+        pts = scipy_sobol(2048)
+        v = EL._unit_sphere_points(pts[:, 0], pts[:, 1])
+        k = EL._unit_sphere_points(pts[:, 2], pts[:, 3])
+        vals = np.einsum("abcd,na,nb,nc,nd->n", C.c, v, k, v, k, optimize=False)
+        assert C.lh_constant == float(vals.min())
+    assert tensors[2].lh_constant < 0.0
+
+
+def test_import_leaves_out_scipy_stats():
+    code = "import sys, dddflow; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def isotropic_acoustic_inverse(lam, mu, z):

@@ -1,12 +1,71 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dddflow import geometry as GE
 from dddflow import netio
 from dddflow import shapes as SH
 from dddflow.errors import ConfigError, GeometryError
+
+
+def _clip_lengths(starts, vecs, seg_len, centers, radii):
+    """Length of each segment inside each ball: shape (n_centers, m, k).
+
+    radii has one row of candidate radii per center.  The (c, m, k)
+    arrays are updated in place: fresh temporaries of that size per step
+    cost more than the arithmetic.
+    """
+    rel = starts[None, :, :] - centers[:, None, :]  # (c, m, 3)
+    a = np.einsum("md,md->m", vecs, vecs)
+    b = 2.0 * np.einsum("cmd,md->cm", rel, vecs)[:, :, None]
+    c0 = np.einsum("cmd,cmd->cm", rel, rel)
+    # disc = b^2 - 4 a (|rel|^2 - r^2)
+    disc = c0[:, :, None] - (radii**2)[:, None, :]
+    disc *= 4.0 * a[None, :, None]
+    np.subtract(b**2, disc, out=disc)
+    ok = disc > 0.0
+    sq = np.sqrt(np.where(ok, disc, 0.0), out=disc)
+    two_a = 2.0 * a[None, :, None]
+    t1 = np.subtract(-b, sq)
+    t1 /= two_a
+    t2 = np.add(-b, sq, out=sq)
+    t2 /= two_a
+    frac = np.clip(t2, 0.0, 1.0, out=t2)
+    frac -= np.clip(t1, 0.0, 1.0, out=t1)
+    np.maximum(frac, 0.0, out=frac)
+    frac[~ok] = 0.0
+    frac *= seg_len[None, :, None]
+    return frac
+
+
+def mass_ratio_reference(network):
+    """The all-segments x all-radii scan that `GE.mass_ratio` replaces,
+    O(N^3): the same candidates, every (center, segment, radius) triple
+    clipped by the same quadratic."""
+    if network.is_empty():
+        raise GeometryError("mass ratio of an empty network")
+    layout = network.layout
+    nodes, vecs, seg_len = layout.nodes, layout.segments, layout.seg_len
+    bnorm = np.linalg.norm(layout.burgers, axis=1)
+    centers = nodes
+    best = 0.0
+    # blocks of 2e6 (center, segment, radius) triples, 16 MB per array
+    block = max(1, int(2e6 / max(len(nodes) * len(seg_len), 1)))
+    for lo in range(0, len(centers), block):
+        cb = centers[lo : lo + block]
+        d = np.linalg.norm(nodes[None, :, :] - cb[:, None, :], axis=2)  # (c, k)
+        radii = np.concatenate([d, np.full((len(cb), 1), 0.5 * network.epsilon)], axis=1)
+        radii = np.where(radii > 1e-12, radii, 0.5 * network.epsilon)
+        clipped = _clip_lengths(nodes, vecs, seg_len, cb, radii)
+        m_of_r = np.einsum("m,cmk->ck", bnorm, clipped, optimize=False)
+        best = max(best, float((m_of_r / radii).max()))
+    return best
+
+
+# the sorted-radii estimator against the scan: only the summation order
+# and the clip of segments at r = dmax (exactly their length now) differ
+MASS_RATIO_RTOL = 1e-14
 
 
 def test_lattice_normalization(monkeypatch):
@@ -110,6 +169,56 @@ def test_mass_ratio_concentric_doubling(lat):
     l2 = SH.circle_loop(lat, 5.0 + 1e-7, 256)
     theta = GE.mass_ratio(GE.DislocationNetwork(lat, [l1, l2], 0.5))
     assert theta == pytest.approx(2 * np.pi, rel=2e-4)
+
+
+@st.composite
+def loop_networks(draw):
+    """1-3 random loops of 5-60 nodes; with eps in {0.05, 0.2, 1} their
+    segments (0.02-2.5 long) fall on both sides of eps."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    lat = SH.cubic_lattice()
+    loops = [
+        SH.random_loop(
+            lat, rng, n_nodes=int(rng.integers(5, 61)), scale=rng.uniform(0.2, 2.0),
+            burgers=[(1, 0, 0), (1, 1, 0), (1, 1, 1)][int(rng.integers(3))],
+            center=rng.uniform(-1.0, 1.0, size=3) * li,
+        )
+        for li in range(draw(st.integers(1, 3)))
+    ]
+    return GE.DislocationNetwork(lat, loops, draw(st.sampled_from([0.05, 0.2, 1.0])))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(loop_networks())
+def test_mass_ratio_matches_reference_scan(net):
+    want = mass_ratio_reference(net)
+    assert abs(GE.mass_ratio(net) - want) <= MASS_RATIO_RTOL * want
+
+
+def test_mass_ratio_reference_ties(lat, rng):
+    """Radii that equal endpoint distances, with a segment tangent to the
+    sphere there (the square's sides), repeated radii (two identical
+    loops) and nearly repeated ones (the concentric 256-gons)."""
+    lp = SH.random_loop(lat, rng, n_nodes=20)
+    nets = [
+        GE.DislocationNetwork(lat, [SH.square_loop(lat, 2.0, 8)], 0.1),
+        GE.DislocationNetwork(lat, [SH.square_loop(lat, 2.0, 3)], 1.0),
+        GE.DislocationNetwork(lat, [lp, lp], 0.2),
+        GE.DislocationNetwork(
+            lat, [SH.circle_loop(lat, 5.0, 256), SH.circle_loop(lat, 5.0 + 1e-7, 256)], 0.5
+        ),
+    ]
+    for net in nets:
+        want = mass_ratio_reference(net)
+        assert abs(GE.mass_ratio(net) - want) <= MASS_RATIO_RTOL * want
+
+
+def test_mass_ratio_large_circle_window(lat):
+    # 2048 nodes: ~150 s for the O(N^3) reference scan
+    lp = SH.circle_loop(lat, 2048 * 0.05 / (2 * np.pi), 2048)
+    theta = GE.mass_ratio(GE.DislocationNetwork(lat, [lp], 0.1))
+    assert 0.99 * np.pi <= theta <= np.pi
 
 
 def test_mass_ratio_lower_bound(lat, rng):
