@@ -15,12 +15,12 @@ nodes are processed in fixed chunks, summed in index order.
 """
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 from .kernels import MollifierProfile, eta
 
@@ -89,38 +89,56 @@ class _GaussCloud:
         self.n_loops = network.n_loops
 
 
-# Correlation grid spacing in units of eps.  Cubic B-spline deposit and
-# gather at eps/24 agree with the exact pair sum to ~2e-9 relative on the
-# force density; a quadratic spline at eps/32 (3.8e-8) or eps/48 (1.0e-8)
-# and a cubic one at eps/16 (1.4e-8) miss the 1e-8 that the rotational
-# covariance of pk_force demands.
-GRID_STEP = 1.0 / 24.0
+# Correlation grid spacing in units of eps.  Quintic B-spline deposit and
+# gather at eps/6 agree with the exact pair sum to 2.3e-9 relative on the
+# force field over 40 random networks, where a cubic spline at eps/24 gave
+# 5.8e-9 on 4x as many grid nodes (at eps/16 it missed the 1e-8 that the
+# rotational covariance of pk_force demands).
+GRID_STEP = 1.0 / 6.0
 # Profile support in units of eps: exp(-12^2 / 4) = 2.3e-16 relative.
 KERNEL_CUT = 12.0
-# Doubles per chunk for the grid and for the deposit arrays (2 MB each):
-# bounds memory on large clouds and on sparse networks, whose grids span
-# the empty space.  At 8 MB the slip energy of two 2592-point disks
-# peaked 50 MB higher.
+# Doubles per chunk for the grid and for the per-point arrays (2 MB
+# each): bounds memory on large clouds and on sparse networks, whose
+# grids span the empty space.  At 8 MB the slip energy of two 2592-point
+# disks peaked 50 MB higher.
 CHUNK_BUDGET = 1 << 18
-_TAPS = np.arange(-1, 3)[:, None]
+# Quintic B-spline weights on taps i0 - 2 .. i0 + 3 of a point at grid
+# coordinate i0 + f: row p holds the coefficients of f^p.
+_QUINTIC = np.array([
+    [1, 26, 66, 26, 1, 0],
+    [-5, -50, 0, 50, 5, 0],
+    [10, 20, -60, 20, 10, 0],
+    [-10, 20, 0, -20, 10, 0],
+    [5, -20, 30, -20, 5, 0],
+    [-1, 5, -10, 10, -5, 1],
+]) / 120.0
 
 
-def _bspline(t, lo, dx):
-    """Cubic B-spline assignment of t (zc, n) onto grids starting at lo
-    (zc,): grid indices and weights, both (zc, 4, n)."""
-    x = (t - lo[:, None]) / dx
-    i0 = x.astype(np.int64)
-    f = x - i0
-    f2 = f * f
-    f3 = f2 * f
-    g = 1.0 - f
-    w = np.empty((len(t), 4, t.shape[1]))
-    w[:, 0] = g * g * g
-    w[:, 1] = 3.0 * f3 - 6.0 * f2 + 4.0
-    w[:, 2] = 1.0 + 3.0 * (f + f2 - f3)
-    w[:, 3] = f3
-    w *= 1.0 / 6.0
-    return i0[:, None, :] + _TAPS, w
+def _spline_matrix(t, lo, dx, nfft):
+    """Quintic B-spline assignment of the points t (zc, n) to zc grids of
+    nfft nodes, grid k starting 3 spacings below lo[k]: the CSR matrix
+    (zc * n, zc * nfft) whose row k * n + i holds point i's six weights on
+    grid k.  The margin is added after the subtraction, so a point at lo
+    sits exactly at grid coordinate 3 and its leftmost tap at index 1; a
+    margin subtracted from lo can round that tap to index -1, outside its
+    node's grid."""
+    zc, n = t.shape
+    x = (t - lo[:, None]) / dx + 3.0
+    i0 = x.astype(np.intc)
+    powers = np.empty((6, zc * n))
+    powers[0] = 1.0
+    np.subtract(x.ravel(), i0.ravel(), out=powers[1])
+    for p in range(2, 6):
+        np.multiply(powers[p - 1], powers[1], out=powers[p])
+    i0 += (np.arange(zc, dtype=np.intc) * nfft)[:, None]
+    # one column per tap: a broadcast (zc * n, 6) sum was 4x slower
+    cols = np.empty((zc * n, 6), np.intc)
+    for j in range(6):
+        np.add(i0.ravel(), j - 2, out=cols[:, j])
+    rows = np.arange(0, 6 * zc * n + 1, 6, dtype=np.intc)
+    return scipy.sparse.csr_array(
+        ((powers.T @ _QUINTIC).ravel(), cols.ravel(), rows), shape=(zc * n, zc * nfft)
+    )
 
 
 # Chunks of one sweep share a few grid lengths: building the kernel
@@ -129,78 +147,63 @@ def _bspline(t, lo, dx):
 @functools.lru_cache(maxsize=64)
 def _kernel_spectrum(epsilon, order, nfft):
     """rFFT of eta^(order) sampled on the grid (cut at +-KERNEL_CUT eps)
-    over the spline's sinc^8 (deposit and gather); read-only."""
+    over the spline's sinc^12 (deposit and gather); read-only."""
     half = int(np.ceil(KERNEL_CUT / GRID_STEP))
     toff = np.arange(-half, half + 1) * (GRID_STEP * epsilon)
     prof = MollifierProfile(epsilon)
     ker = np.zeros(nfft)
     ker[: half + 1] = eta(prof, toff[half:], order)
     ker[-half:] = eta(prof, toff[:half], order)
-    spec = scipy.fft.rfft(ker) / np.sinc(np.arange(nfft // 2 + 1) / nfft) ** 8
+    spec = scipy.fft.rfft(ker) / np.sinc(np.arange(nfft // 2 + 1) / nfft) ** 12
     spec.setflags(write=False)
     return spec
 
 
-def _buffer(buffers, name, shape, dtype):
-    """An uninitialized (shape, dtype) view on the array buffers[name],
-    which is replaced by a larger one when it is too small."""
-    size = math.prod(shape)
-    flat = buffers.get(name)
-    if flat is None or flat.size < size:
-        flat = buffers[name] = np.empty(size, dtype)
-    return flat[:size].reshape(shape)
-
-
-def _correlate(ev, orders, src_t, src_a, dst_t, src_group, n_groups, buffers):
+def _correlate(ev, orders, src_t, src_a, dst_t):
     """sum_j eta^(order)(dst_t[k, i] - src_t[k, j]) src_a[j] for a chunk of
-    sphere nodes k, one (zc, n_dst, n_groups * C) array per order.
+    sphere nodes k, one (zc, n_dst, C) array per order.  With dst_t None
+    the targets are the sources and each order gives instead the (zc, C, C)
+    sums over them of src_a[i, c] times the correlation of channel d.
 
     Each node's projections are deposited on a uniform grid anchored at
     their minimum (so translations move no point relative to the grid)
-    with a cubic B-spline, all nodes and channels in one bincount, then
-    convolved by one batched rFFT with the sampled profile derivative,
-    deconvolved by the spline's sinc^8 (deposit and gather), and gathered
-    with the same spline.  Sources with src_group g land in channels
-    g*C .. g*C + C - 1.  The spectrum product and the gathered values go
-    into `buffers` (a dict kept by the caller across chunks).
+    through one sparse quintic B-spline matrix for all nodes, convolved by
+    one batched rFFT with the sampled profile derivative, deconvolved by
+    the spline's sinc^12 (deposit and gather), and gathered with the same
+    spline.  Without targets the gather is the deposit transposed, so the
+    sums are rho^H K rho over the spectrum (Parseval): no inverse FFT.
     """
-    prof = ev.profile
-    dx = GRID_STEP * prof.epsilon
+    eps = ev.profile.epsilon
+    dx = GRID_STEP * eps
     half = int(np.ceil(KERNEL_CUT / GRID_STEP))
-    zc = len(src_t)
-    n_chan = src_a.shape[1]
-    channels = n_groups * n_chan
-    # two spacings of margin keep the leftmost tap at index >= 0
-    lo = np.minimum(src_t.min(axis=1), dst_t.min(axis=1)) - 2.0 * dx
-    hi = np.maximum(src_t.max(axis=1), dst_t.max(axis=1))
-    m = int((hi - lo).max() / dx) + 4
+    zc, n_chan = len(src_t), src_a.shape[1]
+    lo, hi = src_t.min(axis=1), src_t.max(axis=1)
+    if dst_t is not None and dst_t is not src_t:
+        lo, hi = np.minimum(lo, dst_t.min(axis=1)), np.maximum(hi, dst_t.max(axis=1))
+    # taps run from index 1 (a point at lo) to int((hi - lo) / dx) + 6
+    m = int((hi - lo).max() / dx) + 7
     # no wrap-around between the grid's ends, and no overlap of the
     # kernel's two halves (that breaks the antisymmetry of eta')
     nfft = scipy.fft.next_fast_len(max(m + half, 2 * half + 1), real=True)
-    # flat (node, channel, grid) index, laid out (zc, channel, tap, point)
-    rows = (np.arange(zc)[:, None] * channels + np.arange(channels)) * nfft
-    idx, w = _bspline(src_t, lo, dx)
-    flat = rows[:, :n_chan, None, None] + idx[:, None]
-    if src_group is not None:
-        flat += src_group * (n_chan * nfft)
-    weights = w[:, None] * src_a.T[:, None, :]
-    rho = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=zc * channels * nfft)
-    spec = scipy.fft.rfft(rho.reshape(zc, channels, nfft), axis=-1)
-    # grid-sized arrays go as soon as they are dead, so that the next one
-    # takes their memory instead of growing the heap
+    spline = _spline_matrix(src_t, lo, dx, nfft)
+    rho = spline.T @ np.tile(src_a, (zc, 1))
+    spec = scipy.fft.rfft(rho.reshape(zc, nfft, n_chan), axis=1)
     del rho
+    kernels = [_kernel_spectrum(eps, order, nfft) for order in orders]
+    if dst_t is None:
+        # bins other than 0 and nfft/2 stand for their conjugates as well
+        weight = np.full(nfft // 2 + 1, 2.0 / nfft)
+        weight[0] = 1.0 / nfft
+        if nfft % 2 == 0:
+            weight[-1] = 1.0 / nfft
+        spec_h = spec.conj().transpose(0, 2, 1)
+        return [np.matmul(spec_h, spec * (weight * k)[:, None]).real for k in kernels]
     if dst_t is not src_t:
-        idx, w = _bspline(dst_t, lo, dx)
-    gather = rows[:, :, None, None] + idx[:, None]
-    product = _buffer(buffers, "product", spec.shape, spec.dtype)
-    gathered = _buffer(buffers, "gathered", gather.shape, np.float64)
+        spline = _spline_matrix(dst_t, lo, dx, nfft)
     out = []
-    for order in orders:
-        np.multiply(spec, _kernel_spectrum(prof.epsilon, order, nfft), out=product)
-        conv = scipy.fft.irfft(product, n=nfft, axis=-1)
-        # every index is in range; mode "raise" would copy through a temporary
-        np.take(conv, gather, out=gathered, mode="clip")
-        out.append(np.einsum("ksn,kcsn->knc", w, gathered, optimize=False))
+    for k in kernels:
+        conv = scipy.fft.irfft(spec * k[:, None], n=nfft, axis=1)
+        out.append((spline @ conv.reshape(zc * nfft, n_chan)).reshape(zc, -1, n_chan))
         del conv
     return out
 
@@ -212,47 +215,40 @@ def _sweep(ev, orders, src, src_a, dst, reduce, src_group=None, n_groups=1):
 
     With dst None the sources are also the targets and reduce gets, per
     order, the (zc, n_groups * 9, n_groups * 9) sums over the sources of
-    src_a[i, (m, d)] times the correlation of channel (n, c) at t_i."""
+    src_a[i, (m, d)] times the correlation of channel (n, c) at t_i,
+    where source i belongs to group m = src_group[i]."""
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
     # single loop): correlate their coordinates, map back after the gather
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
-    # Fortran order makes the deposit's coords.T contiguous (15% off the
-    # CPU time of energy_surface on two 2592-point disks, same host)
-    coords = np.asfortranarray(src_a @ basis.T)
+    coords = src_a @ basis.T
     r = len(basis)
-    Ts = src @ ev.nodes.T
-    Td = Ts if dst is None or dst is src else dst @ ev.nodes.T
-    span = float(np.max(np.maximum(Ts.max(0), Td.max(0)) - np.minimum(Ts.min(0), Td.min(0))))
+    if src_group is not None:
+        # each source's coordinates in its own group's slots
+        slots = np.zeros((len(src), n_groups, r))
+        slots[np.arange(len(src)), src_group] = coords
+        coords = slots.reshape(len(src), -1)
+    expand = np.kron(np.eye(n_groups), basis)
+    # the cloud's diameter bounds its extent along every z, so that the
+    # projections are made per chunk: all of them at once held 24 MB for
+    # the slip energy of two 2592-point disks on the 24x48 rule
+    cloud = src if dst is None or dst is src else np.concatenate((src, dst))
+    span = 2.0 * float(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1).max())
+    n_points = len(src) + (0 if dst is None else len(dst))
     per_node = max(
         n_groups * r * (span / (GRID_STEP * ev.epsilon) + 2 * KERNEL_CUT / GRID_STEP),
-        4 * (len(src) + len(Td)) * r,
+        (12 + n_groups * r) * n_points,
     )
     chunk = int(max(1, min(32, CHUNK_BUDGET // per_node)))
-    if dst is None:
-        # the sum over the targets runs in coordinates, each source in its
-        # own group's slot; expand maps every group back to its 9 channels
-        dst_a = coords.T
-        if src_group is not None:
-            dst_a = np.zeros((len(src), n_groups, r))
-            dst_a[np.arange(len(src)), src_group] = coords
-            dst_a = dst_a.reshape(len(src), -1).T
-        expand = np.kron(np.eye(n_groups), basis)
-    # a chunk's large temporaries, allocated afresh, were unmapped and
-    # faulted in again on every chunk under glibc's default mmap threshold
-    # (energy_and_gradient on six sparse loops up to 2x slower, 2-core x86)
-    buffers = {}
     total = None
     for lo in range(0, len(ev.weights), chunk):
         hi = min(lo + chunk, len(ev.weights))
-        ts = np.ascontiguousarray(Ts[:, lo:hi].T)
+        ts = ev.nodes[lo:hi] @ src.T
         if dst is None:
-            corr = _correlate(ev, orders, ts, coords, ts, src_group, n_groups, buffers)
-            corr = [expand.T @ np.matmul(dst_a, c) @ expand for c in corr]
+            corr = [expand.T @ c @ expand for c in _correlate(ev, orders, ts, coords, None)]
         else:
-            td = ts if Td is Ts else np.ascontiguousarray(Td[:, lo:hi].T)
-            corr = _correlate(ev, orders, ts, coords, td, src_group, n_groups, buffers)
-            corr = [(c.reshape(-1, r) @ basis).reshape(hi - lo, -1, n_groups * 9) for c in corr]
+            td = ts if dst is src else ev.nodes[lo:hi] @ dst.T
+            corr = [c @ expand for c in _correlate(ev, orders, ts, coords, td)]
         part = reduce(lo, hi, corr)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     return total

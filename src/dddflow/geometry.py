@@ -29,7 +29,8 @@ __all__ = [
 
 MIN_SEGMENT = 1e-12
 # Largest half-width of the shortest-vector enumeration window, whose
-# (2 * window + 1)^3 candidates are held at once (240 MB and 1 s at 64).
+# (2 * window + 1)^3 candidates are scanned one slab of (2 * window + 1)^2
+# at a time.
 MAX_LATTICE_WINDOW = 64
 # mass_ratio works on blocks of this many (center, segment) pairs, and
 # clips at most this many (center, segment, radius) triples at once.
@@ -66,11 +67,16 @@ class Lattice:
                 f"window {bound} > {MAX_LATTICE_WINDOW}"
             )
         rng = np.arange(-bound, bound + 1)
-        I, J, K = np.meshgrid(rng, rng, rng, indexing="ij")
-        coords = np.stack([I.ravel(), J.ravel(), K.ravel()], axis=1)
-        coords = coords[np.any(coords != 0, axis=1)]
-        lengths = np.linalg.norm(coords @ b.T, axis=1)
-        return lengths.min()
+        J, K = np.meshgrid(rng, rng, indexing="ij")
+        coords = np.stack([np.zeros(J.size, int), J.ravel(), K.ravel()], axis=1)
+        nonzero = np.any(coords[:, 1:] != 0, axis=1)
+        shortest = np.inf
+        # one slab of the box per first coordinate I
+        for i in rng:
+            coords[:, 0] = i
+            slab = coords if i else coords[nonzero]
+            shortest = min(shortest, np.linalg.norm(slab @ b.T, axis=1).min())
+        return shortest
 
     def cartesian(self, coords):
         return self.basis @ np.asarray(coords, dtype=float)

@@ -28,20 +28,18 @@ TOL = 1e-8
 RULE = EF.LineQuadratureRule(2)
 BURGERS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 # derandomized: the same examples on every run, so a margin once measured
-# (worst engine error 7e-9 on G over 40 random networks) stays measured
+# (worst engine error 2.3e-9 on G over 40 random networks) stays measured
 EXAMPLES = settings(
     max_examples=6, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
-def exact_correlate(ev, orders, src_t, src_a, dst_t, src_group, n_groups, buffers):
-    a = src_a
-    if src_group is not None:
-        a = np.zeros((len(src_a), n_groups, src_a.shape[1]))
-        a[np.arange(len(src_a)), src_group] = src_a
-        a = a.reshape(len(src_a), -1)
-    d = dst_t[:, :, None] - src_t[:, None, :]
-    return [np.matmul(KN.eta(ev.profile, d, order), a) for order in orders]
+def exact_correlate(ev, orders, src_t, src_a, dst_t):
+    d = (src_t if dst_t is None else dst_t)[:, :, None] - src_t[:, None, :]
+    sums = [np.matmul(KN.eta(ev.profile, d, order), src_a) for order in orders]
+    if dst_t is None:
+        return [src_a.T @ s for s in sums]
+    return sums
 
 
 def pair_sum(fn, *args):

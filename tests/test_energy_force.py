@@ -32,6 +32,57 @@ def test_line_rule_exactness():
         EF.LineQuadratureRule(0)
 
 
+def test_spline_matrix_partition_of_unity_and_first_moment(rng):
+    dx, nfft = 0.25 / 6, 64
+    base = rng.uniform(-40.0, 40.0, size=(4, 1))
+    # random offsets within a spacing, and offsets at and next to both ends
+    f = np.concatenate([rng.uniform(0.0, 1.0, 40), [0.0, 1e-15, 1e-9, 0.5, 1 - 1e-9, 1 - 1e-15]])
+    t = base + (rng.integers(0, 40, f.size) + f) * dx
+    lo = t.min(axis=1)
+    S = EF._spline_matrix(t, lo, dx, nfft)
+    assert S.shape == (t.size, 4 * nfft)
+    w, local = S.data.reshape(-1, 6), S.indices.reshape(-1, 6) % nfft
+    coord = ((t - lo[:, None]) / dx + 3.0).ravel()
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-14
+    assert np.abs((w * local).sum(axis=1) - coord).max() <= 1e-14 * coord.max()
+
+
+def test_spline_columns_stay_in_their_node_grid(three_loop_net, ev_quarter, rule4, monkeypatch):
+    # far from the origin t - lo rounds: a margin subtracted from lo can put
+    # the tap of the chunk's minimum at index -1, in the previous node's grid
+    net = GE.pushforward(three_loop_net, np.tile([731.3, -517.9, 293.7], (three_loop_net.n_nodes, 1)))
+    spline, at_min = EF._spline_matrix, []
+
+    def checked(t, lo, dx, nfft):
+        # checked before the matrix is used: its products do not bounds-check columns
+        S = spline(t, lo, dx, nfft)
+        zc, n = t.shape
+        local = (S.indices.reshape(zc, n, 6) - (np.arange(zc) * nfft)[:, None, None]).reshape(zc, -1)
+        assert local.min() >= 1 and local.max() < nfft
+        # a point at the node's minimum has its leftmost tap at index 1
+        on_min = np.any(t == lo[:, None], axis=1)
+        assert (local.min(axis=1)[on_min] == 1).all()
+        at_min.append(on_min.sum())
+        return S
+
+    monkeypatch.setattr(EF, "_spline_matrix", checked)
+    EF.energy_and_gradient(net, ev_quarter, rule4)
+    EF.pk_force(net, ev_quarter, rule4)
+    EF.energy_line(net, ev_quarter, rule4)
+    assert sum(at_min) >= 3 * len(ev_quarter.weights)
+
+
+def test_parseval_sums_equal_gathered_sums(three_loop_net, ev_quarter, rule4):
+    cloud = EF._GaussCloud(three_loop_net, rule4)
+    ts = ev_quarter.nodes[:16] @ cloud.points.T
+    orders = (0, 1, 2)
+    sums = EF._correlate(ev_quarter, orders, ts, cloud.a9, None)
+    gathered = EF._correlate(ev_quarter, orders, ts, cloud.a9, ts)
+    for got, corr in zip(sums, gathered):
+        want = np.matmul(cloud.a9.T, corr)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_energy_positive_and_translation_invariant(three_loop_net, ev_quarter, rule4):
     bd = EF.energy_line(three_loop_net, ev_quarter, rule4)
     assert bd.total > 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -92,6 +94,37 @@ def test_lattice_normalization(monkeypatch):
         netio.network_from_dict({"format": "ddd-net/1", "epsilon": 0.1, "lattice": sheared, "loops": []})
     with pytest.raises(GeometryError, match="finite"):
         GE.Lattice([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]])
+
+
+def shortest_vector_length_box(b):
+    """The enumeration the slab scan replaced: all nonzero coordinate
+    vectors of the window's box at once."""
+    bound = int(np.ceil(np.linalg.norm(np.linalg.inv(b), 2) * np.linalg.norm(b, axis=0).min())) + 1
+    rng = np.arange(-bound, bound + 1)
+    I, J, K = np.meshgrid(rng, rng, rng, indexing="ij")
+    coords = np.stack([I.ravel(), J.ravel(), K.ravel()], axis=1)
+    coords = coords[np.any(coords != 0, axis=1)]
+    return np.linalg.norm(coords @ b.T, axis=1).min()
+
+
+def test_shortest_vector_slab_scan(rng):
+    bases = [
+        np.eye(3),
+        0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+        0.5 * np.array([[-1.0, 1, 1], [1, -1, 1], [1, 1, -1]]),
+    ]
+    bases += [np.array([[1.0, s, 0.0], [0.0, 1.0, 0.3 * s], [0.0, 0.0, 1.0]]) for s in (2.5, 6.0, 11.0)]
+    bases += [np.linalg.qr(rng.normal(size=(3, 3)))[0] @ b for b in bases[3:]]
+    for b in bases:
+        assert GE.Lattice._shortest_vector_length(b) == shortest_vector_length_box(b)
+    # at the largest accepted window the whole box allocated 229 MB
+    tracemalloc.start()
+    try:
+        GE.Lattice._shortest_vector_length(np.array([[1.0, 62.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_burgers_vector_validation(lat):
