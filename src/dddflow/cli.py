@@ -134,8 +134,10 @@ def _cmd_kernel_table(args):
         npts = [int(v) for v in args.n.split(",")]
         if not (len(lo) == len(hi) == len(npts) == 3) or min(npts) < 1:
             raise ValueError
+        if not np.isfinite(lo + hi).all():
+            raise ValueError
     except ValueError:
-        raise _UsageError("--lo/--hi need 3 floats and --n needs 3 ints >= 1")
+        raise _UsageError("--lo/--hi need 3 finite floats and --n needs 3 ints >= 1")
     axes = [np.linspace(lo[i], hi[i], npts[i]) for i in range(3)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     _write(netio.kernel_table_csv(cfg.kernel_evaluator(), grid, include_grad=args.grad), args.out)

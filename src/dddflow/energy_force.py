@@ -10,7 +10,8 @@ minus that gradient divided by the lumped node length.
 
 Every kernel sum is, per sphere node z, a 1-D correlation in t = z.x of
 9-channel densities with eta, eta' or eta''; `_correlate` evaluates it
-on a uniform grid by FFT at linear cost in the point count.  Sphere
+on a uniform grid by FFT at linear cost in the point count, and `_sweep`
+contracts it with the node's factor into the weighted sphere sum.  Sphere
 nodes are processed in fixed chunks, summed in index order.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
+from .elasticity import ALTERNATING
 from .kernels import MollifierProfile, eta
 
 __all__ = [
@@ -62,31 +64,21 @@ class ForceField:
     hairpin: np.ndarray  # (n,) flags for degenerate-tangent nodes
 
 
-class _GaussCloud:
-    """Flattened per-Gauss-point source data for one network: rule point k
-    on node i's segment is point k * n_nodes + i."""
-
-    def __init__(self, network, rule):
-        if network.oversized_segments():
-            warnings.warn(
-                "segments longer than epsilon: the kernel varies on the core "
-                "scale and the line quadrature may be under-resolved",
-                stacklevel=3,
-            )
-        layout = network.layout
-        n, k = len(layout.nodes), rule.order
-        seg = layout.segments
-        self.points = (layout.nodes + rule.points[:, None, None] * seg).reshape(-1, 3)
-        e = rule.weights[:, None, None] * seg
-        self.a9 = np.einsum("na,knb->knab", layout.burgers, e, optimize=False).reshape(-1, 9)
-        self.bvec = np.tile(layout.burgers, (k, 1))
-        self.wxi = np.repeat(rule.weights, n)
-        self.xi = np.repeat(rule.points, n)
-        self.node0 = np.tile(np.arange(n), k)
-        self.node1 = np.tile(layout.succ, k)
-        self.loop_of = np.tile(layout.loop_of, k)
-        self.n_nodes = n
-        self.n_loops = network.n_loops
+def _gauss_cloud(network, rule):
+    """Gauss points of the network and their weighted b (x) e densities:
+    rule point k on node i's segment is point k * n_nodes + i."""
+    if network.oversized_segments():
+        warnings.warn(
+            "segments longer than epsilon: the kernel varies on the core "
+            "scale and the line quadrature may be under-resolved",
+            stacklevel=3,
+        )
+    layout = network.layout
+    seg = layout.segments
+    points = (layout.nodes + rule.points[:, None, None] * seg).reshape(-1, 3)
+    e = rule.weights[:, None, None] * seg
+    a9 = np.einsum("na,knb->knab", layout.burgers, e, optimize=False).reshape(-1, 9)
+    return points, a9
 
 
 # Correlation grid spacing in units of eps.  Quintic B-spline deposit and
@@ -208,17 +200,22 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     return out
 
 
-def _sweep(ev, orders, src, src_a, dst, reduce, src_group=None, n_groups=1):
-    """Sum of reduce(lo, hi, correlations) over chunks of sphere nodes,
-    added in index order as each chunk is computed.  The chunk size
-    follows from the network's extent and size only.
+def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1):
+    """Weighted sphere sums of the correlations of the densities src_a at
+    the points src, one array per term (order, F, W): F is a per-node
+    factor (n_sphere, 9, m) and W holds per-node weights (n_sphere, p).
 
-    With dst None the sources are also the targets and reduce gets, per
-    order, the (zc, n_groups * 9, n_groups * 9) sums over the sources of
-    src_a[i, (m, d)] times the correlation of channel (n, c) at t_i,
-    where source i belongs to group m = src_group[i]."""
+    With targets dst a term gives the (p, n_dst, m) sums
+    sum_k W[k] (x) corr_k @ F[k], where corr_k[i, c] correlates channel c
+    with eta^(order) along sphere node k at dst[i].  Without them the
+    sources are the targets, F is 9 x 9, and a term gives the
+    (p, n_groups, n_groups) sums sum_k W[k] (x) sum src_a[i, d] F[k, d, c]
+    corr_k[i, c] over the sources i of group m = src_group[i] and the
+    correlation of group n's densities only.  Chunks of sphere nodes are
+    added in index order; their size follows from the network's extent
+    and size only."""
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
-    # single loop): correlate their coordinates, map back after the gather
+    # single loop): correlate their coordinates and project F onto them
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
     coords = src_a @ basis.T
@@ -228,7 +225,21 @@ def _sweep(ev, orders, src, src_a, dst, reduce, src_group=None, n_groups=1):
         slots = np.zeros((len(src), n_groups, r))
         slots[np.arange(len(src)), src_group] = coords
         coords = slots.reshape(len(src), -1)
-    expand = np.kron(np.eye(n_groups), basis)
+    # each F projected onto the basis and weighted, once per call: a chunk's
+    # sums are then one product over its nodes and channels together
+    if dst is None:
+        factors = [
+            ((basis @ F @ basis.T)[..., None] * W[:, None, None]).reshape(len(W), r * r, -1)
+            for _, F, W in terms
+        ]
+        sums = [np.zeros((n_groups, n_groups, W.shape[1])) for _, _, W in terms]
+    else:
+        factors = [
+            ((basis @ F)[:, :, None] * W[:, None, :, None]).reshape(len(W), r, -1)
+            for _, F, W in terms
+        ]
+        sums = [np.zeros((len(dst), W.shape[1], F.shape[2])) for _, F, W in terms]
+    orders = [order for order, _, _ in terms]
     # the cloud's diameter bounds its extent along every z, so that the
     # projections are made per chunk: all of them at once held 24 MB for
     # the slip energy of two 2592-point disks on the 24x48 rule
@@ -240,62 +251,51 @@ def _sweep(ev, orders, src, src_a, dst, reduce, src_group=None, n_groups=1):
         (12 + n_groups * r) * n_points,
     )
     chunk = int(max(1, min(32, CHUNK_BUDGET // per_node)))
-    total = None
     for lo in range(0, len(ev.weights), chunk):
         hi = min(lo + chunk, len(ev.weights))
         ts = ev.nodes[lo:hi] @ src.T
         if dst is None:
-            corr = [expand.T @ c @ expand for c in _correlate(ev, orders, ts, coords, None)]
+            corr = [
+                c.reshape(hi - lo, n_groups, r, n_groups, r).transpose(1, 3, 0, 2, 4)
+                for c in _correlate(ev, orders, ts, coords, None)
+            ]
         else:
             td = ts if dst is src else ev.nodes[lo:hi] @ dst.T
-            corr = [c @ expand for c in _correlate(ev, orders, ts, coords, td)]
-        part = reduce(lo, hi, corr)
-        total = part if total is None else tuple(a + b for a, b in zip(total, part))
-    return total
+            corr = [c.transpose(1, 0, 2) for c in _correlate(ev, orders, ts, coords, td)]
+        for acc, c, f in zip(sums, corr, factors):
+            rows = c.reshape(-1, (hi - lo) * f.shape[1])
+            acc += (rows @ f[lo:hi].reshape(-1, f.shape[2])).reshape(acc.shape)
+    return [np.moveaxis(acc, 1 if dst is not None else 2, 0) for acc in sums]
 
 
 def energy_line(network, ev, rule):
     """Self-energy of the network with a per-loop-pair breakdown."""
     if network.is_empty():
         raise ValueError("energy of an empty network")
-    cloud = _GaussCloud(network, rule)
-    n_loops = cloud.n_loops
-
-    def reduce(lo, hi, corr):
-        # corr[0][k, (m, d), (n, c)]: loop m's density d against the
-        # correlation of loop n's density c
-        p = corr[0].reshape(hi - lo, n_loops, 9, n_loops, 9)
-        wf = ev.weights[lo:hi, None, None] * ev.fk[lo:hi]
-        return (0.5 * np.einsum("kdc,kmdnc->mn", wf, p),)
-
-    (blocks,) = _sweep(ev, (0,), cloud.points, cloud.a9, None, reduce, cloud.loop_of, n_loops)
+    points, a9 = _gauss_cloud(network, rule)
+    loop_of = np.tile(network.layout.loop_of, rule.order)
+    term = (0, ev.fk, ev.weights[:, None])
+    (sums,) = _sweep(ev, [term], points, a9, src_group=loop_of, n_groups=network.n_loops)
+    blocks = 0.5 * sums[0]
     return EnergyBreakdown(total=float(blocks.sum()), matrix=blocks)
 
 
 def energy_and_gradient(network, ev, rule):
     """Discrete energy and its exact gradient with respect to node positions."""
-    cloud = _GaussCloud(network, rule)
-    a9 = cloud.a9
-
-    def reduce(lo, hi, corr):
-        w, fk = ev.weights[lo:hi], ev.fk[lo:hi]
-        phi0, phi1 = corr
-        ga = np.tensordot(w, np.matmul(phi0, fk), axes=1)
-        u = np.einsum("ic,kic->ki", a9, np.matmul(phi1, fk), optimize=False)
-        gp3 = (w[:, None] * u).T @ ev.nodes[lo:hi]
-        return ga, gp3
-
-    ga, gp3 = _sweep(ev, (0, 1), cloud.points, a9, cloud.points, reduce)
+    points, a9 = _gauss_cloud(network, rule)
+    w = ev.weights[:, None]
+    (ga,), gz = _sweep(ev, [(0, ev.fk, w), (1, ev.fk, w * ev.nodes)], points, a9, points)
     energy = 0.5 * float(np.einsum("ic,ic->", a9, ga, optimize=False))
-    grad = np.zeros((cloud.n_nodes, 3))
+    layout = network.layout
+    n = len(layout.nodes)
     # positional channel: Gauss point = (1-xi) x0 + xi x1
-    np.add.at(grad, cloud.node0, (1.0 - cloud.xi)[:, None] * gp3)
-    np.add.at(grad, cloud.node1, cloud.xi[:, None] * gp3)
+    gp3 = np.einsum("ic,qic->iq", a9, gz, optimize=False).reshape(rule.order, n, 3)
     # tangent-element channel: A = b outer (wxi * (x1 - x0))
-    r = np.einsum("na,nac->nc", cloud.bvec, ga.reshape(-1, 3, 3), optimize=False)
-    r = cloud.wxi[:, None] * r
-    np.add.at(grad, cloud.node1, r)
-    np.add.at(grad, cloud.node0, -r)
+    r = np.einsum("na,knac->knc", layout.burgers, ga.reshape(rule.order, n, 3, 3), optimize=False)
+    r = np.tensordot(rule.weights, r, axes=1)
+    grad = np.tensordot(1.0 - rule.points, gp3, axes=1) - r
+    # every node ends exactly one segment, so succ is a permutation
+    grad[layout.succ] += np.tensordot(rule.points, gp3, axes=1) + r
     return energy, grad
 
 
@@ -309,17 +309,13 @@ def pk_force(network, ev, rule):
     """
     if network.is_empty():
         raise ValueError("force on an empty network")
-    cloud = _GaussCloud(network, rule)
+    points, a9 = _gauss_cloud(network, rule)
     layout = network.layout
-
-    def reduce(lo, hi, corr):
-        # u_l = b_a F_(al)(cd) phi'_cd at each node, with its own loop's b
-        fphi = np.matmul(corr[0], ev.fk[lo:hi]).reshape(hi - lo, -1, 3, 3)
-        u = np.einsum("kial,ia->kil", fphi, layout.burgers, optimize=False)
-        uz = np.cross(u, ev.nodes[lo:hi, None, :])
-        return (np.tensordot(ev.weights[lo:hi], uz, axes=1),)
-
-    (G,) = _sweep(ev, (1,), cloud.points, cloud.a9, layout.nodes, reduce)
+    term = (1, ev.fk, ev.weights[:, None] * ev.nodes)
+    (gz,) = _sweep(ev, [term], points, a9, layout.nodes)
+    # G = u x z with u_l = b_a F_(al)(cd) phi'_cd, each node with its own b
+    gz = gz.reshape(3, -1, 3, 3)
+    G = np.einsum("mlq,ia,qial->im", ALTERNATING, layout.burgers, gz, optimize=False)
     return ForceField(
         density=np.cross(layout.tangents, G),
         lumped=layout.lumped,
@@ -351,10 +347,5 @@ def energy_surface(surfaces, ev):
     helpers).
     """
     P, a9 = _surface_cloud(surfaces)
-
-    def reduce(lo, hi, corr):
-        wf = ev.weights[lo:hi, None, None] * ev.fj[lo:hi]
-        return (0.5 * np.einsum("kdc,kcd->", wf, corr[0]),)
-
-    (energy,) = _sweep(ev, (2,), P, a9, None, reduce)
-    return float(energy)
+    (sums,) = _sweep(ev, [(2, ev.fj, ev.weights[:, None])], P, a9)
+    return 0.5 * float(sums.sum())

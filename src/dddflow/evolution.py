@@ -14,7 +14,7 @@ decrement match the dissipated power to second order in dt.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse
@@ -96,24 +96,11 @@ class DiagnosticsRow:
     ratio_length_rate: float
     ratio_mass: float
 
-    COLUMNS = (
-        "t",
-        "dt",
-        "mass",
-        "theta_hat",
-        "energy",
-        "v_inf",
-        "dv_inf",
-        "f_inf",
-        "energy_decrement",
-        "ratio_ap_vel",
-        "ratio_pk_linf",
-        "ratio_length_rate",
-        "ratio_mass",
-    )
-
     def values(self):
         return [getattr(self, c) for c in self.COLUMNS]
+
+
+DiagnosticsRow.COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 @dataclass

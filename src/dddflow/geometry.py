@@ -423,7 +423,7 @@ def remesh(network, h_min, h_max):
 class SpanningSurface:
     """Oriented triangulation whose boundary is exactly one network loop."""
 
-    def __init__(self, triangles, slip, boundary_loop_index=0):
+    def __init__(self, triangles, slip):
         tri = np.asarray(triangles, dtype=float)
         if tri.ndim != 3 or tri.shape[1:] != (3, 3):
             raise GeometryError("triangles must have shape (T, 3, 3)")
@@ -437,7 +437,6 @@ class SpanningSurface:
         self.normals = cross / areas2[:, None]
         self.areas = 0.5 * areas2
         self.slip = slip
-        self.boundary_loop_index = boundary_loop_index
 
     @property
     def total_area(self):
@@ -470,7 +469,7 @@ class SpanningSurface:
             ],
             axis=0,
         )
-        return SpanningSurface(parts, self.slip, self.boundary_loop_index)
+        return SpanningSurface(parts, self.slip)
 
     def split_radial(self):
         """Halve each triangle along its two vertex-0 edges.
@@ -490,7 +489,7 @@ class SpanningSurface:
             ],
             axis=0,
         )
-        return SpanningSurface(parts, self.slip, self.boundary_loop_index)
+        return SpanningSurface(parts, self.slip)
 
 
 def make_planar_surface(loop, planarity_tol=1e-8):

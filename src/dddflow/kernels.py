@@ -92,22 +92,10 @@ class SphericalQuadrature:
         if hemisphere and n_polar % 2:
             raise ValueError(f"hemisphere rule needs an even polar order, got {n_polar}")
         x, w = np.polynomial.legendre.leggauss(n_polar)
-        phi = 2.0 * np.pi * (np.arange(n_azimuthal) + 0.5) / n_azimuthal
-        wphi = 2.0 * np.pi / n_azimuthal
         if hemisphere:
             keep = x > 0
             x, w = x[keep], 2.0 * w[keep]
-        st = np.sqrt(1.0 - x * x)
-        nodes = np.stack(
-            [
-                np.outer(st, np.cos(phi)).ravel(),
-                np.outer(st, np.sin(phi)).ravel(),
-                np.outer(x, np.ones_like(phi)).ravel(),
-            ],
-            axis=1,
-        )
-        weights = np.outer(w * wphi, np.ones_like(phi)).ravel()
-        return cls(nodes, weights)
+        return cls(*_azimuthal_product(x, w, n_azimuthal))
 
     @classmethod
     def equator_refined(cls, axis, u_core, n_azimuthal=32, order=12):
@@ -128,23 +116,30 @@ class SphericalQuadrature:
             ws.append(0.5 * (hi - lo) * gw)
         u = np.concatenate(us)
         w = 2.0 * np.concatenate(ws)  # doubled: u<0 half folded in
-        phi = 2.0 * np.pi * (np.arange(n_azimuthal) + 0.5) / n_azimuthal
-        wphi = 2.0 * np.pi / n_azimuthal
-        st = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-        nodes = np.stack(
-            [
-                np.outer(st, np.cos(phi)).ravel(),
-                np.outer(st, np.sin(phi)).ravel(),
-                np.outer(u, np.ones_like(phi)).ravel(),
-            ],
-            axis=1,
-        )
-        weights = np.outer(w * wphi, np.ones_like(phi)).ravel()
+        nodes, weights = _azimuthal_product(u, w, n_azimuthal)
         R = _rotation_to(axis)
         return cls(nodes @ R.T, weights)
 
     def __len__(self):
         return len(self.weights)
+
+
+def _azimuthal_product(u, w, n_azimuthal):
+    """Nodes and weights of the rule (u, w) in cos(theta) times the
+    n_azimuthal-point midpoint rule in phi, u-major."""
+    phi = 2.0 * np.pi * (np.arange(n_azimuthal) + 0.5) / n_azimuthal
+    wphi = 2.0 * np.pi / n_azimuthal
+    st = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+    nodes = np.stack(
+        [
+            np.outer(st, np.cos(phi)).ravel(),
+            np.outer(st, np.sin(phi)).ravel(),
+            np.outer(u, np.ones_like(phi)).ravel(),
+        ],
+        axis=1,
+    )
+    weights = np.outer(w * wphi, np.ones_like(phi)).ravel()
+    return nodes, weights
 
 
 def _rotation_to(axis):

@@ -223,6 +223,8 @@ def test_cli_exit_codes(lat, tmp_path):
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "2,2"]) == 1
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "2,-1,2"]) == 1
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "0,2,2"]) == 1
+    assert cli.main(["kernel-table", "--config", str(cfgpath), "--lo", "nan,0,0"]) == 1
+    assert cli.main(["kernel-table", "--config", str(cfgpath), "--hi", "1,inf,1"]) == 1
     # usage: quadrature orders that no rule accepts, before any suite runs
     assert cli.main(["check", "--sphere-polar", "3"]) == 1
     assert cli.main(["check", "--sphere-azimuthal", "2"]) == 1

@@ -54,18 +54,14 @@ def pk_force_surface_form(loop, surface, ev):
     formula."""
     b = loop.burgers.cartesian
     P, a9 = EF._surface_cloud([surface])
-
-    def reduce(lo, hi, corr):
-        z = ev.nodes[lo:hi]
-        fkz = ev.fk[lo:hi].reshape(-1, 3, 3, 3, 3)
-        # P_kcf = A_def A_klm fk_alcd b_a z_m z_e
-        pk = np.einsum(
-            "def,klm,nalcd,a,nm,ne->nkcf", ALTERNATING, ALTERNATING, fkz, b, z, z, optimize=True
-        )
-        return (np.einsum("n,nkx,nsx->sk", ev.weights[lo:hi], pk.reshape(-1, 3, 9), corr[0]),)
-
-    (G,) = EF._sweep(ev, (2,), P, a9, loop.nodes, reduce)
-    return G
+    z = ev.nodes
+    fkz = ev.fk.reshape(-1, 3, 3, 3, 3)
+    # F_n(cf)k = A_def A_klm fk_alcd b_a z_m z_e, (c, f) the density channel
+    F = np.einsum(
+        "def,klm,nalcd,a,nm,ne->ncfk", ALTERNATING, ALTERNATING, fkz, b, z, z, optimize=True
+    ).reshape(-1, 9, 3)
+    (G,) = EF._sweep(ev, [(2, F, ev.weights[:, None])], P, a9, loop.nodes)
+    return G[0]
 
 
 def rel(got, want):
@@ -124,50 +120,57 @@ def test_line_engine_matches_pair_oracle(case):
 def test_line_engine_matches_kernel_pair_sums(case):
     """Energy blocks from K, and G from grad K, at every Gauss-point pair."""
     net, ev = case
-    cloud = EF._GaussCloud(net, RULE)
-    n = len(cloud.points)
-    d = (cloud.points[:, None, :] - cloud.points[None, :, :]).reshape(-1, 3)
+    points, a9 = EF._gauss_cloud(net, RULE)
+    n = len(points)
+    d = (points[:, None, :] - points[None, :, :]).reshape(-1, 3)
     K = KN.sphere_sum(ev, d).reshape(n, n, 9, 9)
-    e_pairs = np.einsum("ic,ijcd,jd->ij", cloud.a9, K, cloud.a9, optimize=True)
-    onehot = np.eye(cloud.n_loops)[cloud.loop_of]
+    e_pairs = np.einsum("ic,ijcd,jd->ij", a9, K, a9, optimize=True)
+    onehot = np.eye(net.n_loops)[np.tile(net.layout.loop_of, RULE.order)]
     blocks = 0.5 * onehot.T @ e_pairs @ onehot
     assert rel(EF.energy_line(net, ev, RULE).matrix, blocks) <= TOL
 
     # G_m(s) = sum_g A_mlq b_a a_g,cd dK_alcd/ds_q (x_s - x_g)
     xn = net.all_nodes()
     bvec = np.concatenate([np.tile(lp.burgers.cartesian, (len(lp), 1)) for lp in net.loops])
-    ds = (xn[:, None, :] - cloud.points[None, :, :]).reshape(-1, 3)
+    ds = (xn[:, None, :] - points[None, :, :]).reshape(-1, 3)
     dK = np.stack([KN.sphere_sum(ev, ds, 1, directions=[e]) for e in np.eye(3)], axis=-1)
     dK = dK.reshape(len(xn), n, 3, 3, 9, 3)
-    G = np.einsum("mlq,sa,gx,sgalxq->sm", ALTERNATING, bvec, cloud.a9, dK, optimize=True)
+    G = np.einsum("mlq,sa,gx,sgalxq->sm", ALTERNATING, bvec, a9, dK, optimize=True)
     assert rel(EF.pk_force(net, ev, RULE).G, G) <= TOL
 
 
 @st.composite
 def spanned_loops(draw):
+    """One or two loops with cone surfaces; two give cross-surface terms."""
     seed = draw(st.integers(0, 2**32 - 1))
+    n_loops = draw(st.integers(1, 2))
     eps = draw(st.sampled_from([0.2, 0.3]))
     rng = np.random.default_rng(seed)
     lat = SH.cubic_lattice()
-    loop = SH.random_loop(
-        lat, rng, n_nodes=int(rng.integers(8, 13)), scale=rng.uniform(0.4, 0.8),
-        burgers=BURGERS[int(rng.integers(len(BURGERS)))],
-    )
-    apex = loop.nodes.mean(axis=0) + rng.uniform(-0.3, 0.3, size=3)
-    surf = GE.make_cone_surface(loop, apex).split_radial()
-    return loop, surf, _evaluator(eps, draw(st.booleans()))
+    loops, surfs = [], []
+    for li in range(n_loops):
+        loop = SH.random_loop(
+            lat, rng, n_nodes=int(rng.integers(8, 13)), scale=rng.uniform(0.4, 0.8),
+            burgers=BURGERS[int(rng.integers(len(BURGERS)))],
+            center=rng.uniform(-1.0, 1.0, size=3) * li,
+        )
+        apex = loop.nodes.mean(axis=0) + rng.uniform(-0.3, 0.3, size=3)
+        loops.append(loop)
+        surfs.append(GE.make_cone_surface(loop, apex).split_radial())
+    return loops, surfs, _evaluator(eps, draw(st.booleans()))
 
 
 @EXAMPLES
 @given(spanned_loops())
 def test_surface_engine_matches_pair_oracle(case):
-    loop, surf, ev = case
-    es, es_pair = EF.energy_surface([surf], ev), pair_sum(EF.energy_surface, [surf], ev)
+    loops, surfs, ev = case
+    es, es_pair = EF.energy_surface(surfs, ev), pair_sum(EF.energy_surface, surfs, ev)
     assert abs(es - es_pair) <= TOL * abs(es_pair)
-    G, G_pair = pk_force_surface_form(loop, surf, ev), pair_sum(pk_force_surface_form, loop, surf, ev)
+    G = pk_force_surface_form(loops[0], surfs[0], ev)
+    G_pair = pair_sum(pk_force_surface_form, loops[0], surfs[0], ev)
     assert rel(G, G_pair) <= TOL
-    # slip energy from J at every quadrature-point pair
-    P, a9 = EF._surface_cloud([surf])
+    # slip energy from J at every quadrature-point pair, across surfaces too
+    P, a9 = EF._surface_cloud(surfs)
     J = KN.sphere_sum(ev, (P[:, None] - P[None]).reshape(-1, 3), 2, ev.fj)
     e_J = 0.5 * np.einsum("ic,ijcd,jd->", a9, J.reshape(len(P), len(P), 9, 9), a9, optimize=True)
     assert abs(es - e_J) <= TOL * abs(e_J)

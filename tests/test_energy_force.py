@@ -73,13 +73,13 @@ def test_spline_columns_stay_in_their_node_grid(three_loop_net, ev_quarter, rule
 
 
 def test_parseval_sums_equal_gathered_sums(three_loop_net, ev_quarter, rule4):
-    cloud = EF._GaussCloud(three_loop_net, rule4)
-    ts = ev_quarter.nodes[:16] @ cloud.points.T
+    points, a9 = EF._gauss_cloud(three_loop_net, rule4)
+    ts = ev_quarter.nodes[:16] @ points.T
     orders = (0, 1, 2)
-    sums = EF._correlate(ev_quarter, orders, ts, cloud.a9, None)
-    gathered = EF._correlate(ev_quarter, orders, ts, cloud.a9, ts)
+    sums = EF._correlate(ev_quarter, orders, ts, a9, None)
+    gathered = EF._correlate(ev_quarter, orders, ts, a9, ts)
     for got, corr in zip(sums, gathered):
-        want = np.matmul(cloud.a9.T, corr)
+        want = np.matmul(a9.T, corr)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
