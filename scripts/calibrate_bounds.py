@@ -31,30 +31,33 @@ EPS = 0.1
 MAX_STEPS = 60
 
 
-def step_ratios(net, ev, model, rule):
-    """Velocity field of one step, and each bound's left-hand side over its
-    right-hand side with C = 1.
+def step_ratios(state, ev, model, rule, policy):
+    """Advance the run's state by one step of the run's own `step`, and
+    return each bound's left-hand side over its right-hand side with C = 1
+    on the network the step started from.
 
-    The monitored bounds are the run's own ratios times their constants;
-    pk_linf takes the larger of the gradient and line-formula forces.
+    ap_vel and length_rate are the step's monitored ratios times their
+    constants; pk_linf takes the larger of the gradient and line-formula
+    forces.
     """
-    _, grad = EF.energy_and_gradient(net, ev, rule)
-    f_density = -grad / net.layout.lumped[:, None]
-    vf = EV.solve_velocity(net, f_density, model)
+    net = state.network
+    solved = EV._energy_force_velocity(state, ev, model, rule)
+    vf = solved[2]
+    dt = policy.choose_dt(net.epsilon, vf.v_inf, vf.dv_inf, policy.t_end - state.time)
+    EV.step(state, dt, ev, model, rule, policy, precomputed=solved)
+    row = state.diagnostics[-1]
+    m, theta = row.mass, row.theta_hat
     field = EF.pk_force(net, ev, rule)
-    m = GE.mass(net)
-    theta = GE.mass_ratio(net)
-    f_inf = float(np.linalg.norm(f_density, axis=1).max())
-    f_inf = max(f_inf, float(np.linalg.norm(field.density, axis=1).max()))
-    r_ap, r_f, r_len, _ = EV._bound_ratios(net, model, vf, f_inf, m, theta, 0.0, m)
+    f_inf = max(row.f_inf, float(np.linalg.norm(field.density, axis=1).max()))
+    r_f = EV._bound_ratios(net, model, vf, f_inf, m, theta, 0.0, m)[1]
     eps = net.epsilon
     logterm = math.log(1.0 + 2.0 * m / (eps * theta))
     f_l2 = float(np.sqrt((field.lumped * (field.density**2).sum(axis=1)).sum()))
-    return vf, {
+    return {
         "pk_linf": r_f * BOUND_CONSTANTS["pk_linf"],
         "pk_l2": f_l2 * eps / (net.max_burgers_norm() * math.sqrt(m) * theta * logterm),
-        "ap_vel": r_ap * BOUND_CONSTANTS["ap_vel"],
-        "length_rate": r_len * BOUND_CONSTANTS["length_rate"],
+        "ap_vel": row.ratio_ap_vel * BOUND_CONSTANTS["ap_vel"],
+        "length_rate": row.ratio_length_rate * BOUND_CONSTANTS["length_rate"],
     }
 
 
@@ -91,23 +94,12 @@ def calibrate():
         g = 1e-3 * EPS * rng.normal(size=(net.n_nodes, 3))
         cont_sup = max(cont_sup, continuity_ratio(net, g, ev, rule))
 
+        state = EV.EvolutionState(time=0.0, network=net)
         for istep in range(MAX_STEPS):
-            vf, ratios = step_ratios(net, ev, model, rule)
-            for name, val in ratios.items():
+            for name, val in step_ratios(state, ev, model, rule, policy).items():
                 sup[name] = max(sup.get(name, 0.0), val)
-            dt = policy.choose_dt(EPS, vf.v_inf, vf.dv_inf, 1e9)
-            moved = GE.pushforward(net, dt * vf.v)
-            keep = [lp for lp in moved.loops if lp.total_length() >= policy.kappa * EPS]
-            if not keep:
+            if state.termination:
                 break
-            moved = moved.with_loops(keep)
-            lo, hi = policy.h_min * EPS, policy.h_max * EPS
-            if any(
-                lp.segment_lengths().min() < lo or lp.segment_lengths().max() > hi
-                for lp in moved.loops
-            ):
-                moved = GE.remesh(moved, lo, hi)
-            net = moved
         print(f"R/eps={r_over_eps}: done after {istep + 1} steps")
     constants = {k: 2.0 * v for k, v in sup.items()}
     constants["mass"] = constants["length_rate"]

@@ -21,9 +21,6 @@ import math
 #: Amplitude of eta^eps(t) = (N_PHI / eps) * exp(-t^2 / (4 eps^2)).
 N_PHI = math.sqrt(math.pi) / (8.0 * math.pi**3)
 
-#: Fitted value from the last run of scripts/calibrate_nphi.py.
-N_PHI_FITTED = 7.145544665806e-3
-
 #: Prefactors C for the monitored inequalities, keyed by bound name.
 #: Values produced by scripts/calibrate_bounds.py (twice the observed sup).
 BOUND_CONSTANTS = {

@@ -34,6 +34,9 @@ ALTERNATING = _alternating()
 
 NEAR_SINGULAR_FLOOR = 1e-8
 
+#: Sample pairs of the Legendre-Hadamard estimate of every ElasticityTensor.
+LH_SAMPLES = 2048
+
 
 class ElasticityTensor:
     """Rank-4 stiffness with an estimated Legendre-Hadamard constant.
@@ -43,14 +46,14 @@ class ElasticityTensor:
     estimate, not a certificate.
     """
 
-    def __init__(self, components, lh_samples=2048):
+    def __init__(self, components):
         c = np.asarray(components, dtype=float)
         if c.shape != (3, 3, 3, 3):
             raise ValueError("stiffness must have shape (3,3,3,3)")
         c = c.copy()
         c.setflags(write=False)
         self.c = c
-        self.lh_constant = estimate_lh_constant(self, lh_samples)
+        self.lh_constant = estimate_lh_constant(self, LH_SAMPLES)
 
     def max_abs(self):
         return float(np.abs(self.c).max())

@@ -24,6 +24,7 @@ import scipy.fft
 import scipy.sparse
 
 from .elasticity import ALTERNATING
+from .errors import GeometryError
 from .kernels import MollifierProfile, eta
 
 __all__ = [
@@ -271,7 +272,7 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1):
 def energy_line(network, ev, rule):
     """Self-energy of the network with a per-loop-pair breakdown."""
     if network.is_empty():
-        raise ValueError("energy of an empty network")
+        raise GeometryError("energy of an empty network")
     points, a9 = _gauss_cloud(network, rule)
     loop_of = np.tile(network.layout.loop_of, rule.order)
     term = (0, ev.fk, ev.weights[:, None])
@@ -282,6 +283,8 @@ def energy_line(network, ev, rule):
 
 def energy_and_gradient(network, ev, rule):
     """Discrete energy and its exact gradient with respect to node positions."""
+    if network.is_empty():
+        raise GeometryError("energy gradient of an empty network")
     points, a9 = _gauss_cloud(network, rule)
     w = ev.weights[:, None]
     (ga,), gz = _sweep(ev, [(0, ev.fk, w), (1, ev.fk, w * ev.nodes)], points, a9, points)
@@ -308,7 +311,7 @@ def pk_force(network, ev, rule):
     discrete energy gradient (the force must shrink an isolated loop).
     """
     if network.is_empty():
-        raise ValueError("force on an empty network")
+        raise GeometryError("force on an empty network")
     points, a9 = _gauss_cloud(network, rule)
     layout = network.layout
     term = (1, ev.fk, ev.weights[:, None] * ev.nodes)

@@ -109,10 +109,6 @@ class EvolutionState:
     network: object
     diagnostics: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    # Lagrangian map: cumulative displacement per node since the last
-    # remesh; across remeshes only the event log survives (node identity
-    # does not).
-    cumulative_displacement: np.ndarray = None
     termination: str = ""
 
     def log_event(self, kind, **info):
@@ -213,7 +209,7 @@ def solve_velocity(network, force_density, model):
     )
 
 
-def _bound_ratios(network, model, vf, f_inf, mass_now, theta, t_now, mass0):
+def _bound_ratios(network, model, vf, f_inf, mass_now, theta, t_now, mass_initial):
     """The monitored bounds (ap_vel, pk_linf, length_rate, mass), each as
     its left-hand side over the right-hand side with the calibrated
     constant; the one statement of these bounds."""
@@ -225,7 +221,7 @@ def _bound_ratios(network, model, vf, f_inf, mass_now, theta, t_now, mass0):
     rhs_ap = BOUND_CONSTANTS["ap_vel"] * math.sqrt(mass_now) * theta * bmax / (eps * gam) * logterm
     rhs_len = BOUND_CONSTANTS["length_rate"] * mass_now * theta * bmax / (eps * gam) * logterm
     rhs_finf = BOUND_CONSTANTS["pk_linf"] / eps * bmax * theta * logterm
-    denom = 1.0 / mass0 - BOUND_CONSTANTS["mass"] * 2.0 * bmax * t_now / (eps**2 * gam)
+    denom = 1.0 / mass_initial - BOUND_CONSTANTS["mass"] * 2.0 * bmax * t_now / (eps**2 * gam)
     ratio_mass = mass_now * denom if denom > 0 else 0.0
     return (
         v_h1 / rhs_ap if rhs_ap > 0 else 0.0,
@@ -252,13 +248,15 @@ def _energy_force_velocity(state, ev, model, rule):
     return energy, grad, vf
 
 
-def step(state, dt, ev, model, rule, policy, mass0=None, precomputed=None):
+def step(state, dt, ev, model, rule, policy, precomputed=None):
     """One explicit step: force, velocity, push, remesh, annihilate.
 
-    dt may be 0, in which case only diagnostics are appended.  Returns
-    the new state; termination conditions are recorded on it.
-    `precomputed` is (energy, grad, velocity field) of the current
-    network, as `run` already has them from choosing dt.
+    Advances `state` in place and returns it: appends the step's
+    diagnostics row, logs its events and records termination.  dt may be
+    0, in which case only the row is appended.  The mass bound starts
+    from the first row's mass.  `precomputed` is (energy, grad, velocity
+    field) of the current network, as `run` already has them from
+    choosing dt.
     """
     net = state.network
     eps = net.epsilon
@@ -268,96 +266,71 @@ def step(state, dt, ev, model, rule, policy, mass0=None, precomputed=None):
     f_density = -grad / net.layout.lumped[:, None]
     m_now = mass(net)
     theta = mass_ratio(net)
-    if mass0 is None:
-        mass0 = m_now
+    rows = state.diagnostics
+    mass_initial, prev_energy = (rows[0].mass, rows[-1].energy) if rows else (m_now, energy)
     f_inf = float(np.linalg.norm(f_density, axis=1).max())
     r_ap, r_f, r_len, r_mass = _bound_ratios(
-        net, model, vf, f_inf, m_now, theta, state.time, mass0
+        net, model, vf, f_inf, m_now, theta, state.time, mass_initial
     )
-    prev_energy = state.diagnostics[-1].energy if state.diagnostics else energy
-    row = DiagnosticsRow(
-        t=state.time,
-        dt=dt,
-        mass=m_now,
-        theta_hat=theta,
-        energy=energy,
-        v_inf=vf.v_inf,
-        dv_inf=vf.dv_inf,
-        f_inf=f_inf,
-        energy_decrement=prev_energy - energy,
-        ratio_ap_vel=r_ap,
-        ratio_pk_linf=r_f,
-        ratio_length_rate=r_len,
-        ratio_mass=r_mass,
-    )
-    new_state = EvolutionState(
-        time=state.time,
-        network=net,
-        diagnostics=state.diagnostics + [row],
-        events=list(state.events),
-        cumulative_displacement=state.cumulative_displacement,
-        termination=state.termination,
+    rows.append(
+        DiagnosticsRow(
+            t=state.time,
+            dt=dt,
+            mass=m_now,
+            theta_hat=theta,
+            energy=energy,
+            v_inf=vf.v_inf,
+            dv_inf=vf.dv_inf,
+            f_inf=f_inf,
+            energy_decrement=prev_energy - energy,
+            ratio_ap_vel=r_ap,
+            ratio_pk_linf=r_f,
+            ratio_length_rate=r_len,
+            ratio_mass=r_mass,
+        )
     )
     if theta > policy.theta_max:
-        new_state.log_event("blowup", theta_hat=theta, theta_max=policy.theta_max)
-        new_state.termination = "blowup"
-        return new_state
+        state.log_event("blowup", theta_hat=theta, theta_max=policy.theta_max)
+        state.termination = "blowup"
+        return state
     if dt == 0.0:
-        return new_state
-    disp = dt * vf.v
-    moved = pushforward(net, disp)
-    if new_state.cumulative_displacement is None:
-        new_state.cumulative_displacement = disp
-    else:
-        new_state.cumulative_displacement = new_state.cumulative_displacement + disp
-    new_state.time = state.time + dt
+        return state
+    moved = pushforward(net, dt * vf.v)
+    state.time += dt
     # mesh maintenance
-    h_lo, h_hi = policy.h_min * eps, policy.h_max * eps
     survivors = []
     for li, lp in enumerate(moved.loops):
         if lp.total_length() < policy.kappa * eps:
-            new_state.log_event("annihilation", loop=li, length=lp.total_length())
+            state.log_event("annihilation", loop=li, length=lp.total_length())
         else:
             survivors.append(lp)
     moved = moved.with_loops(survivors)
-    needs = any(
-        lp.segment_lengths().min() < h_lo or lp.segment_lengths().max() > h_hi
-        for lp in moved.loops
-    )
-    if not moved.is_empty() and needs:
-        before = mass(moved)
-        moved = remesh(moved, h_lo, h_hi)
-        new_state.log_event("remesh", mass_before=before, mass_after=mass(moved))
-        new_state.cumulative_displacement = None
-    elif survivors and len(survivors) != len(state.network.loops):
-        new_state.cumulative_displacement = None
-    new_state.network = moved
-    if moved.is_empty():
-        new_state.termination = "annihilated"
-        new_state.log_event("annihilated_all")
-    return new_state
+    state.network = remesh(moved, policy.h_min * eps, policy.h_max * eps)
+    if any(new is not old for new, old in zip(state.network.loops, moved.loops)):
+        state.log_event("remesh", mass_before=mass(moved), mass_after=mass(state.network))
+    if state.network.is_empty():
+        state.termination = "annihilated"
+        state.log_event("annihilated_all")
+    return state
 
 
 def run(network, ev, model, rule, policy, snapshot_cb=None):
     """March the network until t_end, annihilation, blow-up or dt floor."""
     state = EvolutionState(time=0.0, network=network)
-    mass0 = mass(network) if not network.is_empty() else 0.0
     if network.is_empty():
         state.termination = "empty"
         state.log_event("empty_start")
         return state
-    istep = 0
     while policy.t_end - state.time > policy.dt_min:
-        net = state.network
         solved = _energy_force_velocity(state, ev, model, rule)
         vf = solved[2]
-        dt = policy.choose_dt(net.epsilon, vf.v_inf, vf.dv_inf, policy.t_end - state.time)
+        dt = policy.choose_dt(network.epsilon, vf.v_inf, vf.dv_inf, policy.t_end - state.time)
         if dt < policy.dt_min:
             state.log_event("dt_floor", dt=dt)
             state.termination = "dt_floor"
             break
-        state = step(state, dt, ev, model, rule, policy, mass0=mass0, precomputed=solved)
-        istep += 1
+        step(state, dt, ev, model, rule, policy, precomputed=solved)
+        istep = len(state.diagnostics)
         if snapshot_cb is not None and istep % policy.snapshot_every == 0:
             snapshot_cb(istep, state)
         if state.termination:

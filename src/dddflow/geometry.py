@@ -169,9 +169,6 @@ class Loop:
         lengths = self.segment_lengths()
         return 0.5 * (lengths + np.roll(lengths, 1))
 
-    def reversed(self):
-        return Loop(self.nodes[::-1].copy(), self.burgers)
-
 
 class NodeLayout:
     """Per-node arrays of a network's loops, concatenated in loop order and
@@ -394,8 +391,9 @@ def _resample_closed(nodes, n_new):
 def remesh(network, h_min, h_max):
     """Arc-length resampling keeping segment lengths inside [h_min, h_max].
 
-    Loops already conforming are returned unchanged (the operation is a
-    fixed point on conforming meshes).  Mass changes are second order in
+    Loops already conforming are returned unchanged, as the same objects
+    (the operation is a fixed point on conforming meshes), so a caller can
+    tell which loops were resampled.  Mass changes are second order in
     the segment length; the caller can diff mass() to log them.
     """
     if not 0 < h_min < h_max:
@@ -437,39 +435,6 @@ class SpanningSurface:
         self.normals = cross / areas2[:, None]
         self.areas = 0.5 * areas2
         self.slip = slip
-
-    @property
-    def total_area(self):
-        return float(self.areas.sum())
-
-    def boundary_edges(self):
-        """Directed edges on the boundary (internal pairs cancel exactly)."""
-        seen = {}
-        for t in self.triangles:
-            for i in range(3):
-                a = tuple(t[i])
-                b = tuple(t[(i + 1) % 3])
-                if (b, a) in seen and seen[(b, a)] > 0:
-                    seen[(b, a)] -= 1
-                else:
-                    seen[(a, b)] = seen.get((a, b), 0) + 1
-        return [e for e, n in seen.items() if n > 0 for _ in range(n)]
-
-    def refined(self):
-        """Midpoint 4-split; boundary midpoints stay on the original edges."""
-        tri = self.triangles
-        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-        parts = np.concatenate(
-            [
-                np.stack([a, ab, ca], axis=1),
-                np.stack([ab, b, bc], axis=1),
-                np.stack([ca, bc, c], axis=1),
-                np.stack([ab, bc, ca], axis=1),
-            ],
-            axis=0,
-        )
-        return SpanningSurface(parts, self.slip)
 
     def split_radial(self):
         """Halve each triangle along its two vertex-0 edges.

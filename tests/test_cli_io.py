@@ -236,6 +236,11 @@ def test_cli_exit_codes(lat, tmp_path):
         bad.write_text('{"epsilon": 0.1, "quadrature": ' + quadrature + "}")
         assert cli.main(["energy", "--input", str(netpath), "--config", str(bad)]) == 2
     assert cli.main(["energy", "--input", str(netpath), "--config", str(tmp_path / "nope.json")]) == 2
+    # numerical: a valid network file without loops
+    empty = tmp_path / "empty.json"
+    netio.save_network(GE.DislocationNetwork(lat, [], 0.1), empty)
+    for command in ("energy", "force"):
+        assert cli.main([command, "--input", str(empty), "--config", str(cfgpath)]) == 3
     # blow-up: tiny theta_max plus --fail-on-blowup
     netpath2, cfgpath2 = _write_inputs(tmp_path, lat, extra_cfg={"theta_max": 1.5})
     outdir = tmp_path / "blow"

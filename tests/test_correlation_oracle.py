@@ -23,6 +23,7 @@ from dddflow import geometry as GE
 from dddflow import kernels as KN
 from dddflow import shapes as SH
 from dddflow.elasticity import ALTERNATING
+from geometry_reference import midpoint_refined
 
 TOL = 1e-8
 RULE = EF.LineQuadratureRule(2)
@@ -214,7 +215,7 @@ def test_surface_form_force_cross_check(lat, rule4):
     eps = 0.1
     ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(eps))
     loop = SH.circle_loop(lat, 0.8, 48)
-    surf = GE.make_planar_surface(loop).refined().refined()
+    surf = midpoint_refined(midpoint_refined(GE.make_planar_surface(loop)))
     g_line = EF.pk_force(SH.single_loop_network(loop, eps), ev, rule4).G
     g_surf = pk_force_surface_form(loop, surf, ev)
     err = np.linalg.norm(g_surf - g_line, axis=1).max() / np.linalg.norm(g_line, axis=1).max()

@@ -9,6 +9,8 @@ from dddflow import kernels as KN
 from dddflow import mobility as MB
 from dddflow import shapes as SH
 from dddflow.calibration import BOUND_CONSTANTS
+from dddflow.errors import GeometryError
+from geometry_reference import reversed_loop
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +194,7 @@ def test_surface_energy_orientation_invariance(lat):
     ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(eps))
     loop = SH.circle_loop(lat, 1.0, 24)
     s1 = GE.make_planar_surface(loop).split_radial()
-    s2 = GE.make_planar_surface(loop.reversed()).split_radial()
+    s2 = GE.make_planar_surface(reversed_loop(loop)).split_radial()
     e1 = EF.energy_surface([s1], ev)
     e2 = EF.energy_surface([s2], ev)
     assert e1 == pytest.approx(e2, rel=1e-12)
@@ -276,10 +278,9 @@ def test_continuity_check(lat, rule4, rng):
 
 def test_empty_network_errors(lat, ev_quarter, rule4):
     empty = GE.DislocationNetwork(lat, [], 0.25)
-    with pytest.raises(ValueError):
-        EF.energy_line(empty, ev_quarter, rule4)
-    with pytest.raises(ValueError):
-        EF.pk_force(empty, ev_quarter, rule4)
+    for fn in (EF.energy_line, EF.energy_and_gradient, EF.pk_force):
+        with pytest.raises(GeometryError):
+            fn(empty, ev_quarter, rule4)
 
 
 def test_oversized_segments_warn(lat, ev_quarter, rule4):

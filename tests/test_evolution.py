@@ -312,16 +312,30 @@ def test_bound_monitor(lat, ev01, rule2):
         EV.bound_monitor([])
 
 
-def test_lagrangian_map_tracked_until_remesh(lat, ev01, rule2):
+def test_in_band_steps_advance_state_in_place_without_remesh(lat, ev01, rule2):
     # 80 nodes keep segments inside the default band, so no remesh occurs
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 80), 0.1)
     state = EV.EvolutionState(time=0.0, network=net)
     policy = EV.StepPolicy()
-    s1 = EV.step(state, 0.01, ev01, MODEL, rule2, policy)
-    s2 = EV.step(s1, 0.01, ev01, MODEL, rule2, policy)
-    assert not any(e["kind"] == "remesh" for e in s2.events)
-    # cumulative displacement maps the initial nodes onto the current ones
-    assert np.allclose(net.loops[0].nodes + s2.cumulative_displacement, s2.network.loops[0].nodes)
+    assert EV.step(state, 0.01, ev01, MODEL, rule2, policy) is state
+    assert EV.step(state, 0.01, ev01, MODEL, rule2, policy) is state
+    assert len(state.diagnostics) == 2 and state.time == 0.01 + 0.01
+    assert not any(e["kind"] == "remesh" for e in state.events)
+    assert len(state.network.loops[0]) == 80
+
+
+def test_steps_by_hand_reproduce_the_run(lat, ev01, rule2):
+    # 64 nodes on R = 3 eps are closer than h_min, so the first step remeshes;
+    # the mass bound of every row starts from the first row's mass
+    net = SH.single_loop_network(SH.circle_loop(lat, 0.3, 64), 0.1)
+    policy = EV.StepPolicy(t_end=0.2, dt_max=0.05)
+    ran = EV.run(net, ev01, MODEL, rule2, policy)
+    assert len(ran.diagnostics) > 2 and ran.events[0]["kind"] == "remesh"
+    hand = EV.EvolutionState(time=0.0, network=net)
+    for row in ran.diagnostics:
+        hand = EV.step(hand, row.dt, ev01, MODEL, rule2, policy)
+    assert netio.diagnostics_csv(hand.diagnostics) == netio.diagnostics_csv(ran.diagnostics)
+    assert hand.events == ran.events[:-1] and ran.events[-1]["kind"] == "t_end"
 
 
 def test_non_finite_energy_stops_the_run(lat, ev01, rule2, tmp_path, monkeypatch):

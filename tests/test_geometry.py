@@ -9,6 +9,7 @@ from dddflow import geometry as GE
 from dddflow import netio
 from dddflow import shapes as SH
 from dddflow.errors import ConfigError, GeometryError
+from geometry_reference import boundary_edges, midpoint_refined, reversed_loop
 
 
 def _clip_lengths(starts, vecs, seg_len, centers, radii):
@@ -294,9 +295,11 @@ def test_pushforward_errors(lat):
 
 def test_remesh_conforming_fixed_point(lat):
     lp = SH.circle_loop(lat, 1.0, 64)  # h ~ 0.098
-    net = GE.DislocationNetwork(lat, [lp], 0.1)
-    out = GE.remesh(net, 0.05, 0.12)
+    coarse = SH.circle_loop(lat, 1.0, 16, center=(3, 0, 0))  # h ~ 0.39
+    out = GE.remesh(GE.DislocationNetwork(lat, [lp, coarse], 0.1), 0.05, 0.12)
+    # the same object, next to a resampled loop: callers tell them apart by identity
     assert out.loops[0] is lp
+    assert out.loops[1] is not coarse and out.loops[1].segment_lengths().max() <= 0.12
 
 
 def test_remesh_octagon(lat):
@@ -327,9 +330,9 @@ def test_remesh_preconditions(lat):
 def test_planar_surface_area_and_orientation(lat):
     lp = SH.circle_loop(lat, 5.0, 64)
     surf = GE.make_planar_surface(lp)
-    assert surf.total_area == pytest.approx(0.5 * 64 * 25 * np.sin(2 * np.pi / 64))
+    assert surf.areas.sum() == pytest.approx(0.5 * 64 * 25 * np.sin(2 * np.pi / 64))
     assert np.allclose(surf.normals, [0.0, 0.0, 1.0])
-    flipped = GE.make_planar_surface(lp.reversed())
+    flipped = GE.make_planar_surface(reversed_loop(lp))
     assert np.allclose(flipped.normals, [0.0, 0.0, -1.0])
 
 
@@ -353,7 +356,7 @@ def test_cone_surface(lat):
     cone0 = GE.make_cone_surface(lp, centroid)
     assert np.allclose(flat.triangles, cone0.triangles)
     lifted = GE.make_cone_surface(lp, centroid + [0.0, 0.0, 0.5])
-    assert lifted.total_area > flat.total_area
+    assert lifted.areas.sum() > flat.areas.sum()
     with pytest.raises(GeometryError):
         GE.make_cone_surface(lp, lp.nodes[4])
 
@@ -370,10 +373,10 @@ def test_surface_boundary_matches_loop(lat, refine):
     lp = SH.circle_loop(lat, 2.0, 24)
     surf = GE.make_cone_surface(lp, np.array([0.1, -0.2, 1.0]))
     if refine == "refined":
-        surf = surf.refined()
+        surf = midpoint_refined(surf)
     elif refine == "split_radial":
         surf = surf.split_radial()
-    boundary = surf.boundary_edges()
+    boundary = boundary_edges(surf)
     if refine == "none":
         assert sorted(boundary) == sorted(_directed_loop_edges(lp))
     else:

@@ -1,6 +1,7 @@
 """The scripts: the calibration's per-step code against the run it
 calibrates, and the benchmark entry on synthetic result files."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -24,8 +25,9 @@ def _load(name):
 
 
 def test_calibrate_bounds_ratios_are_the_monitored_ratios(lat):
-    # the script's pk_linf also takes the pk_force maximum, so only the
-    # two velocity bounds are the run's ratios times their constants
+    # the script advances the run's state with the run's own step, and its
+    # velocity bounds are that step's ratios times their constants; its
+    # pk_linf also takes the pk_force maximum, so it can only be larger
     script = _load("calibrate_bounds")
     eps = script.EPS
     ev = KN.KernelEvaluator(
@@ -33,12 +35,17 @@ def test_calibrate_bounds_ratios_are_the_monitored_ratios(lat):
     )
     rule = EF.LineQuadratureRule(2)
     model = MB.MobilityModel(alpha=1.0, drag=MB.IsotropicDrag(m=1.0))
+    policy = EV.StepPolicy(t_end=1e9, dt_max=0.5)
     net = SH.single_loop_network(SH.circle_loop(lat, 5 * eps, 32), eps)
-    _, ratios = script.step_ratios(net, ev, model, rule)
-    state = EV.step(EV.EvolutionState(time=0.0, network=net), 0.0, ev, model, rule, EV.StepPolicy())
-    row = state.diagnostics[-1]
+    state = EV.EvolutionState(time=0.0, network=net)
+    ratios = script.step_ratios(state, ev, model, rule, policy)
+    (stepped,) = state.diagnostics
+    assert state.time == stepped.dt > 0
+    row = EV.step(EV.EvolutionState(time=0.0, network=net), 0.0, ev, model, rule, policy).diagnostics[-1]
+    assert dataclasses.replace(stepped, dt=0.0) == row
     assert ratios["ap_vel"] == row.ratio_ap_vel * BOUND_CONSTANTS["ap_vel"]
     assert ratios["length_rate"] == row.ratio_length_rate * BOUND_CONSTANTS["length_rate"]
+    assert ratios["pk_linf"] >= row.ratio_pk_linf * BOUND_CONSTANTS["pk_linf"]
     assert set(ratios) == {"pk_linf", "pk_l2", "ap_vel", "length_rate"}
 
 
