@@ -74,7 +74,7 @@ class SimulationConfig:
         if C.lh_constant <= 0:
             raise ConfigError(
                 f"'elasticity.full' violates the Legendre-Hadamard condition "
-                f"(sampled constant {C.lh_constant:.3g} <= 0)"
+                f"(estimated constant {C.lh_constant:.3g} <= 0)"
             )
         return C
 

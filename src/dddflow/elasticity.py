@@ -34,7 +34,7 @@ ALTERNATING = _alternating()
 
 NEAR_SINGULAR_FLOOR = 1e-8
 
-#: Sample pairs of the Legendre-Hadamard estimate of every ElasticityTensor.
+#: Directions k of the Legendre-Hadamard estimate of every ElasticityTensor.
 LH_SAMPLES = 2048
 
 
@@ -42,8 +42,8 @@ class ElasticityTensor:
     """Rank-4 stiffness with an estimated Legendre-Hadamard constant.
 
     The constructor does not reject asymmetric input; use
-    :func:`validate_symmetries` to check.  `lh_constant` is a sampled
-    estimate, not a certificate.
+    :func:`validate_symmetries` to check.  `lh_constant` is exact in v and
+    sampled in k: an estimate, not a certificate.
     """
 
     def __init__(self, components):
@@ -53,7 +53,7 @@ class ElasticityTensor:
         c = c.copy()
         c.setflags(write=False)
         self.c = c
-        self.lh_constant = estimate_lh_constant(self, LH_SAMPLES)
+        self.lh_constant = estimate_lh_constant(self)
 
     def max_abs(self):
         return float(np.abs(self.c).max())
@@ -116,57 +116,22 @@ def _unit_sphere_points(u, v):
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-SOBOL_BITS = 30
-# Direction numbers of Joe & Kuo (new-joe-kuo-6.21201) for dimensions 2-4:
-# degree s of the primitive polynomial, its inner coefficients a as bits,
-# and the initial m_1 .. m_s.  Dimension 1 is van der Corput.
-_SOBOL_POLYNOMIALS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+def _acoustic(C, nodes):
+    """D(z)_ac = C_abcd z_b z_d at every node."""
+    return np.einsum("abcd,nb,nd->nac", C.c, nodes, nodes, optimize=False)
 
 
-def _sobol_directions():
-    v = np.zeros((4, SOBOL_BITS), dtype=np.int64)
-    v[0] = 1 << np.arange(SOBOL_BITS - 1, -1, -1)
-    for j, (s, a, m) in enumerate(_SOBOL_POLYNOMIALS, start=1):
-        v[j, :s] = np.array(m) << (SOBOL_BITS - 1 - np.arange(s))
-        for k in range(s, SOBOL_BITS):
-            x = v[j, k - s] ^ (v[j, k - s] >> s)
-            for i in range(1, s):
-                if (a >> (s - 1 - i)) & 1:
-                    x ^= v[j, k - i]
-            v[j, k] = x
-    return v
+def estimate_lh_constant(C):
+    """Min of C_abcd v_a k_b v_c k_d over unit vectors v, and over
+    LH_SAMPLES unit vectors k on a Fibonacci sphere.
 
-
-_SOBOL_DIRECTIONS = _sobol_directions()
-
-
-def _sobol_points(m):
-    """First m points of the unscrambled 4-D Sobol sequence in gray-code
-    order, (m, 4) in [0, 1): the points of scipy.stats.qmc.Sobol(d=4,
-    scramble=False).random(m), without importing scipy.stats."""
-    i = np.arange(m, dtype=np.int64)
-    gray = i ^ (i >> 1)
-    x = np.zeros((m, 4), dtype=np.int64)
-    for k in range(SOBOL_BITS):
-        x ^= ((gray >> k) & 1)[:, None] * _SOBOL_DIRECTIONS[:, k]
-    return x / float(1 << SOBOL_BITS)
-
-
-def estimate_lh_constant(C, n_samples):
-    """Min of C_abcd v_a k_b v_c k_d over a deterministic low-discrepancy
-    sample of unit-vector pairs.
-
-    The sequence is prefix-nested, so the estimate is monotone
-    nonincreasing in n_samples.  A nonpositive value means a violating
-    pair was found; a positive value certifies nothing.
+    For a tensor with the major symmetry, the min over v at one k is the
+    smallest eigenvalue of D(k).  A nonpositive value means a violating
+    direction was found; a positive value certifies nothing.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    pts = _sobol_points(int(n_samples))
-    v = _unit_sphere_points(pts[:, 0], pts[:, 1])
-    k = _unit_sphere_points(pts[:, 2], pts[:, 3])
-    vals = np.einsum("abcd,na,nb,nc,nd->n", C.c, v, k, v, k, optimize=False)
-    return float(vals.min())
+    i = np.arange(LH_SAMPLES)
+    k = _unit_sphere_points((i + 0.5) / LH_SAMPLES, i * (np.sqrt(5.0) - 1.0) / 2.0 % 1.0)
+    return float(np.linalg.eigvalsh(_acoustic(C, k))[:, 0].min())
 
 
 def _dinv_stack(C, nodes):
@@ -176,7 +141,7 @@ def _dinv_stack(C, nodes):
     falls below NEAR_SINGULAR_FLOOR times that matrix's largest entry,
     which indicates a Legendre-Hadamard failure along z.
     """
-    D = np.einsum("abcd,nb,nd->nac", C.c, nodes, nodes, optimize=False)
+    D = _acoustic(C, nodes)
     floor = NEAR_SINGULAR_FLOOR * np.maximum(np.abs(D).max(axis=(1, 2)), np.finfo(float).tiny)
     low = np.linalg.eigvalsh(D)[:, 0]
     bad = np.flatnonzero(low <= floor)

@@ -6,7 +6,9 @@ by construction.  All values are immutable; operations return new
 networks.
 """
 
+import fractions
 import functools
+import itertools
 
 import numpy as np
 
@@ -28,10 +30,10 @@ __all__ = [
 ]
 
 MIN_SEGMENT = 1e-12
-# Largest half-width of the shortest-vector enumeration window, whose
-# (2 * window + 1)^3 candidates are scanned one slab of (2 * window + 1)^2
-# at a time.
-MAX_LATTICE_WINDOW = 64
+# A pairwise-reduced basis has a shortest vector among these 26 combinations.
+UNIT_COMBINATIONS = np.array([c for c in itertools.product((-1, 0, 1), repeat=3) if any(c)])
+# Floats evaluate a lattice vector to ~3 eps cond of its length, below 1e-9.
+MAX_LATTICE_CONDITION = 1e6
 # mass_ratio works on blocks of this many (center, segment) pairs, and
 # clips at most this many (center, segment, radius) triples at once.
 MASS_RATIO_PAIRS = 1 << 16
@@ -47,36 +49,31 @@ class Lattice:
             raise GeometryError("lattice basis must be a 3x3 matrix")
         if not np.isfinite(b).all():
             raise GeometryError("lattice basis must be finite")
-        det = np.linalg.det(b)
-        if abs(det) < 1e-300:
-            raise GeometryError("lattice basis is singular")
-        shortest = self._shortest_vector_length(b)
-        b = b / shortest
+        # a power-of-two rescale changes only exponents, so the result does not depend on scale
+        b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
+        if not np.linalg.cond(b) <= MAX_LATTICE_CONDITION:
+            raise GeometryError(f"lattice basis is singular or has cond > {MAX_LATTICE_CONDITION:g}")
+        b = b / self._shortest_vector_length(b)
         b.setflags(write=False)
         self.basis = b
 
     @staticmethod
     def _shortest_vector_length(b):
-        # small enumeration window is enough for any reasonably conditioned basis
-        binv = np.linalg.inv(b)
-        r0 = np.linalg.norm(b, axis=0).min()
-        bound = int(np.ceil(np.linalg.norm(binv, 2) * r0)) + 1
-        if bound > MAX_LATTICE_WINDOW:
-            raise GeometryError(
-                f"lattice basis too ill-conditioned: the shortest-vector search needs "
-                f"window {bound} > {MAX_LATTICE_WINDOW}"
-            )
-        rng = np.arange(-bound, bound + 1)
-        J, K = np.meshgrid(rng, rng, indexing="ij")
-        coords = np.stack([np.zeros(J.size, int), J.ravel(), K.ravel()], axis=1)
-        nonzero = np.any(coords[:, 1:] != 0, axis=1)
-        shortest = np.inf
-        # one slab of the box per first coordinate I
-        for i in rng:
-            coords[:, 0] = i
-            slab = coords if i else coords[nonzero]
-            shortest = min(shortest, np.linalg.norm(slab @ b.T, axis=1).min())
-        return shortest
+        """Length of a shortest nonzero vector of the lattice with basis
+        columns b, from its pairwise reduction in exact arithmetic."""
+        v = [[fractions.Fraction(x) for x in col] for col in b.T.tolist()]
+        u = np.eye(3, dtype=np.int64)
+        reduced = False
+        while not reduced:
+            reduced = True
+            for i, j in itertools.permutations(range(3), 2):
+                mu = sum(p * q for p, q in zip(v[i], v[j])) / sum(q * q for q in v[j])
+                if abs(mu) > 0.5:
+                    r = round(mu)
+                    v[i] = [p - r * q for p, q in zip(v[i], v[j])]
+                    u[:, i] -= r * u[:, j]
+                    reduced = False
+        return np.linalg.norm((UNIT_COMBINATIONS @ u.T) @ b.T, axis=1).min()
 
     def cartesian(self, coords):
         return self.basis @ np.asarray(coords, dtype=float)
@@ -93,16 +90,19 @@ class BurgersVector:
 
     def __init__(self, lattice, coords):
         coords = np.asarray(coords)
+        # beyond 2^53 floats skip integers and the cast to int64 wraps
+        if not np.abs(coords.astype(float)).max() < 2.0**53:
+            raise GeometryError("Burgers coordinates must be smaller than 2^53 in magnitude")
         if coords.shape != (3,) or not np.issubdtype(coords.dtype, np.integer):
             coords = np.asarray(coords, dtype=float)
             rounded = np.rint(coords)
             if np.abs(coords - rounded).max() > 1e-9:
                 raise GeometryError("Burgers coordinates must be integers")
-            coords = rounded.astype(int)
+            coords = rounded
         if not np.any(coords != 0):
             raise GeometryError("Burgers vector must be nonzero")
         self.lattice = lattice
-        self.coords = coords.copy()
+        self.coords = coords.astype(int)
         self.coords.setflags(write=False)
         cart = lattice.cartesian(coords)
         if np.linalg.norm(cart) < 1.0 - 1e-9:

@@ -71,36 +71,51 @@ def mass_ratio_reference(network):
 MASS_RATIO_RTOL = 1e-14
 
 
-def test_lattice_normalization(monkeypatch):
+FCC = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
+BCC = 0.5 * np.array([[-1.0, 1, 1], [1, -1, 1], [1, 1, -1]])
+
+
+def test_lattice_normalization():
     lat = GE.Lattice(2.0 * np.eye(3))
     assert np.allclose(lat.basis, np.eye(3))
-    fcc = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    latf = GE.Lattice(3.7 * fcc)
+    latf = GE.Lattice(3.7 * FCC)
     # shortest vector of the scaled fcc basis must come out at length 1
     shortest = GE.Lattice._shortest_vector_length(latf.basis)
     assert shortest == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(GeometryError):
         GE.Lattice(np.zeros((3, 3)))
-
-    # rejected before the enumeration allocates anything
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("the rejected basis reached the enumeration")
-
-    monkeypatch.setattr(GE.np, "meshgrid", no_enumeration)
-    # a cubic lattice in a sheared basis: (2 * 402 + 1)^3 candidates, 3.9 GiB
-    sheared = [[1.0, 400.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    with pytest.raises(GeometryError, match="window 402 > 64"):
-        GE.Lattice(sheared)
-    with pytest.raises(ConfigError, match="window"):
-        netio.network_from_dict({"format": "ddd-net/1", "epsilon": 0.1, "lattice": sheared, "loops": []})
+    # a cubic lattice in sheared bases: the box scan needed (2 * 402 + 1)^3
+    # candidates at s = 400; s = 900 is near the condition number cap
+    for s in (400.0, 900.0):
+        sheared = [[1.0, s, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert np.array_equal(GE.Lattice(sheared).basis, sheared)
+    # condition number 2e9: a reduction in floats never settles on it
+    near_collinear = [[1.0, 1.0, 0.0], [0.3, 0.3 + 1e-9, 0.0], [0.2, 0.2 - 1e-9, 1.0]]
+    with pytest.raises(GeometryError, match="cond"):
+        GE.Lattice(near_collinear)
     with pytest.raises(GeometryError, match="finite"):
         GE.Lattice([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]])
 
 
+def test_lattice_scale_invariant(rng):
+    for b in (np.eye(3), FCC, BCC, rng.normal(size=(3, 3))):
+        basis = GE.Lattice(b).basis
+        for k in (-700, -1, 1, 700):
+            assert np.array_equal(GE.Lattice(2.0**k * b).basis, basis)
+    for scale in (1e200, 1e-200):
+        data = {"format": "ddd-net/1", "epsilon": 0.1, "lattice": (scale * np.eye(3)).tolist(), "loops": []}
+        assert np.array_equal(netio.network_from_dict(data).lattice.basis, np.eye(3))
+
+
+def box_window(b):
+    """Half-width of a coordinate box that holds a shortest vector."""
+    return int(np.ceil(np.linalg.norm(np.linalg.inv(b), 2) * np.linalg.norm(b, axis=0).min())) + 1
+
+
 def shortest_vector_length_box(b):
-    """The enumeration the slab scan replaced: all nonzero coordinate
-    vectors of the window's box at once."""
-    bound = int(np.ceil(np.linalg.norm(np.linalg.inv(b), 2) * np.linalg.norm(b, axis=0).min())) + 1
+    """All nonzero coordinate vectors of the box that the reduction's
+    unit combinations replaced, at once."""
+    bound = box_window(b)
     rng = np.arange(-bound, bound + 1)
     I, J, K = np.meshgrid(rng, rng, rng, indexing="ij")
     coords = np.stack([I.ravel(), J.ravel(), K.ravel()], axis=1)
@@ -109,16 +124,25 @@ def shortest_vector_length_box(b):
 
 
 def test_shortest_vector_slab_scan(rng):
-    bases = [
-        np.eye(3),
-        0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]]),
-        0.5 * np.array([[-1.0, 1, 1], [1, -1, 1], [1, 1, -1]]),
-    ]
+    bases = [np.eye(3), FCC, BCC]
     bases += [np.array([[1.0, s, 0.0], [0.0, 1.0, 0.3 * s], [0.0, 0.0, 1.0]]) for s in (2.5, 6.0, 11.0)]
     bases += [np.linalg.qr(rng.normal(size=(3, 3)))[0] @ b for b in bases[3:]]
+    # fcc turned 6 degrees about z: a reduction in floats without a margin
+    # on |mu| cycles on its ties
+    t = np.radians(6.0)
+    bases.append(np.array([[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]]) @ FCC)
+    # seeded unimodular transforms of turned cubic, fcc and bcc bases
+    while len(bases) < 220:
+        u = np.eye(3, dtype=np.int64)
+        for _ in range(rng.integers(1, 6)):
+            i, j = rng.choice(3, 2, replace=False)
+            u[:, i] += rng.integers(-3, 4) * u[:, j]
+        b = np.linalg.qr(rng.normal(size=(3, 3)))[0] @ (np.eye(3), FCC, BCC)[len(bases) % 3] @ u
+        if box_window(b) <= 40:
+            bases.append(b)
     for b in bases:
         assert GE.Lattice._shortest_vector_length(b) == shortest_vector_length_box(b)
-    # at the largest accepted window the whole box allocated 229 MB
+    # the whole box of this basis (window 64) allocated 229 MB
     tracemalloc.start()
     try:
         GE.Lattice._shortest_vector_length(np.array([[1.0, 62.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
@@ -136,6 +160,15 @@ def test_burgers_vector_validation(lat):
         GE.BurgersVector(lat, (0, 0, 0))
     with pytest.raises(GeometryError):
         GE.BurgersVector(lat, (0.5, 0, 0))
+    # float64 holds every integer below 2^53; beyond it, the int64 cast wraps
+    assert GE.BurgersVector(lat, (2.0**53 - 1, 0, 0)).coords[0] == 2**53 - 1
+    for big in (1e20, 2.0**53, -(2**63), 2**70, np.inf, np.nan):
+        with pytest.raises(GeometryError, match="2\\^53"):
+            GE.BurgersVector(lat, [big, 0, 0])
+    data = {"format": "ddd-net/1", "epsilon": 0.1, "lattice": np.eye(3).tolist()}
+    data["loops"] = [{"burgers": [1e20, 0, 0], "nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}]
+    with pytest.raises(ConfigError, match="loop 0: Burgers coordinates"):
+        netio.network_from_dict(data)
 
 
 def test_loop_validation(lat):
