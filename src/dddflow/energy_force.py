@@ -9,10 +9,12 @@ so its gradient is assembled analytically; the per-node force density is
 minus that gradient divided by the lumped node length.
 
 Every kernel sum is, per sphere node z, a 1-D correlation in t = z.x of
-9-channel densities with eta, eta' or eta''; `_correlate` evaluates it
+the b (x) e densities with eta, eta' or eta''; `_correlate` evaluates it
 on a uniform grid by FFT at linear cost in the point count, and `_sweep`
-contracts it with the node's factor into the weighted sphere sum.  Sphere
-nodes are processed in fixed chunks, summed in index order.
+contracts it with the node's factor into the weighted sphere sum.  The
+densities are correlated in the narrower of their own basis and the
+range of the node's factor.  Sphere nodes are processed in fixed chunks,
+summed in index order.
 """
 
 import functools
@@ -153,10 +155,10 @@ def _kernel_spectrum(epsilon, order, nfft):
 
 
 def _correlate(ev, orders, src_t, src_a, dst_t):
-    """sum_j eta^(order)(dst_t[k, i] - src_t[k, j]) src_a[j] for a chunk of
-    sphere nodes k, one (zc, n_dst, C) array per order.  With dst_t None
+    """sum_j eta^(order)(dst_t[k, i] - src_t[k, j]) src_a[k, j] for a chunk
+    of sphere nodes k, one (zc, n_dst, C) array per order.  With dst_t None
     the targets are the sources and each order gives instead the (zc, C, C)
-    sums over them of src_a[i, c] times the correlation of channel d.
+    sums over them of src_a[k, i, c] times the correlation of channel d.
 
     Each node's projections are deposited on a uniform grid anchored at
     their minimum (so translations move no point relative to the grid)
@@ -169,7 +171,7 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     eps = ev.profile.epsilon
     dx = GRID_STEP * eps
     half = int(np.ceil(KERNEL_CUT / GRID_STEP))
-    zc, n_chan = len(src_t), src_a.shape[1]
+    zc, n_chan = len(src_t), src_a.shape[2]
     lo, hi = src_t.min(axis=1), src_t.max(axis=1)
     if dst_t is not None and dst_t is not src_t:
         lo, hi = np.minimum(lo, dst_t.min(axis=1)), np.maximum(hi, dst_t.max(axis=1))
@@ -179,7 +181,7 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     # kernel's two halves (that breaks the antisymmetry of eta')
     nfft = scipy.fft.next_fast_len(max(m + half, 2 * half + 1), real=True)
     spline = _spline_matrix(src_t, lo, dx, nfft)
-    rho = spline.T @ np.tile(src_a, (zc, 1))
+    rho = spline.T @ src_a.reshape(zc * src_t.shape[1], n_chan)
     spec = scipy.fft.rfft(rho.reshape(zc, nfft, n_chan), axis=1)
     del rho
     kernels = [_kernel_spectrum(eps, order, nfft) for order in orders]
@@ -201,7 +203,15 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     return out
 
 
-def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1):
+def _group_slots(coords, group, n_groups):
+    """Each source's coordinates (..., n, c) in its own group's slots of
+    (..., n, n_groups * c), zero elsewhere."""
+    slots = np.zeros(coords.shape[:-1] + (n_groups, coords.shape[-1]))
+    slots[..., np.arange(len(group)), group, :] = coords
+    return slots.reshape(coords.shape[:-1] + (-1,))
+
+
+def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_range=None):
     """Weighted sphere sums of the correlations of the densities src_a at
     the points src, one array per term (order, F, W): F is a per-node
     factor (n_sphere, 9, m) and W holds per-node weights (n_sphere, p).
@@ -214,29 +224,36 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1):
     corr_k[i, c] over the sources i of group m = src_group[i] and the
     correlation of group n's densities only.  Chunks of sphere nodes are
     added in index order; their size follows from the network's extent
-    and size only."""
+    and size only.
+
+    factor_range (n_sphere, 9, q), if given, spans the range of every
+    term's F at each node, which is symmetric: F = V V^T F = F V V^T.  The
+    densities are then correlated in q channels per node where their own
+    basis has more."""
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
-    # single loop): correlate their coordinates and project F onto them
+    # single loop): their coordinates in that basis are shared by all nodes
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
-    coords = src_a @ basis.T
-    r = len(basis)
-    if src_group is not None:
-        # each source's coordinates in its own group's slots
-        slots = np.zeros((len(src), n_groups, r))
-        slots[np.arange(len(src)), src_group] = coords
-        coords = slots.reshape(len(src), -1)
-    # each F projected onto the basis and weighted, once per call: a chunk's
-    # sums are then one product over its nodes and channels together
+    by_range = factor_range is not None and factor_range.shape[2] < len(basis)
+    if by_range:
+        left, right = np.swapaxes(factor_range, 1, 2), factor_range
+    else:
+        left, right = basis, basis.T
+        coords = src_a @ basis.T
+        if src_group is not None:
+            coords = _group_slots(coords, src_group, n_groups)
+    r = right.shape[-1]
+    # each F projected and weighted, once per call: a chunk's sums are then
+    # one product over its nodes and channels together
     if dst is None:
         factors = [
-            ((basis @ F @ basis.T)[..., None] * W[:, None, None]).reshape(len(W), r * r, -1)
+            ((left @ F @ right)[..., None] * W[:, None, None]).reshape(len(W), r * r, -1)
             for _, F, W in terms
         ]
         sums = [np.zeros((n_groups, n_groups, W.shape[1])) for _, _, W in terms]
     else:
         factors = [
-            ((basis @ F)[:, :, None] * W[:, None, :, None]).reshape(len(W), r, -1)
+            ((left @ F)[:, :, None] * W[:, None, :, None]).reshape(len(W), r, -1)
             for _, F, W in terms
         ]
         sums = [np.zeros((len(dst), W.shape[1], F.shape[2])) for _, F, W in terms]
@@ -255,14 +272,20 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1):
     for lo in range(0, len(ev.weights), chunk):
         hi = min(lo + chunk, len(ev.weights))
         ts = ev.nodes[lo:hi] @ src.T
+        if by_range:
+            a = src_a @ factor_range[lo:hi]
+            if src_group is not None:
+                a = _group_slots(a, src_group, n_groups)
+        else:
+            a = np.broadcast_to(coords, (hi - lo,) + coords.shape)
         if dst is None:
             corr = [
                 c.reshape(hi - lo, n_groups, r, n_groups, r).transpose(1, 3, 0, 2, 4)
-                for c in _correlate(ev, orders, ts, coords, None)
+                for c in _correlate(ev, orders, ts, a, None)
             ]
         else:
             td = ts if dst is src else ev.nodes[lo:hi] @ dst.T
-            corr = [c.transpose(1, 0, 2) for c in _correlate(ev, orders, ts, coords, td)]
+            corr = [c.transpose(1, 0, 2) for c in _correlate(ev, orders, ts, a, td)]
         for acc, c, f in zip(sums, corr, factors):
             rows = c.reshape(-1, (hi - lo) * f.shape[1])
             acc += (rows @ f[lo:hi].reshape(-1, f.shape[2])).reshape(acc.shape)
@@ -276,7 +299,9 @@ def energy_line(network, ev, rule):
     points, a9 = _gauss_cloud(network, rule)
     loop_of = np.tile(network.layout.loop_of, rule.order)
     term = (0, ev.fk, ev.weights[:, None])
-    (sums,) = _sweep(ev, [term], points, a9, src_group=loop_of, n_groups=network.n_loops)
+    (sums,) = _sweep(
+        ev, [term], points, a9, src_group=loop_of, n_groups=network.n_loops, factor_range=ev.fk_range
+    )
     blocks = 0.5 * sums[0]
     return EnergyBreakdown(total=float(blocks.sum()), matrix=blocks)
 
@@ -287,7 +312,8 @@ def energy_and_gradient(network, ev, rule):
         raise GeometryError("energy gradient of an empty network")
     points, a9 = _gauss_cloud(network, rule)
     w = ev.weights[:, None]
-    (ga,), gz = _sweep(ev, [(0, ev.fk, w), (1, ev.fk, w * ev.nodes)], points, a9, points)
+    terms = [(0, ev.fk, w), (1, ev.fk, w * ev.nodes)]
+    (ga,), gz = _sweep(ev, terms, points, a9, points, factor_range=ev.fk_range)
     energy = 0.5 * float(np.einsum("ic,ic->", a9, ga, optimize=False))
     layout = network.layout
     n = len(layout.nodes)
@@ -315,7 +341,7 @@ def pk_force(network, ev, rule):
     points, a9 = _gauss_cloud(network, rule)
     layout = network.layout
     term = (1, ev.fk, ev.weights[:, None] * ev.nodes)
-    (gz,) = _sweep(ev, [term], points, a9, layout.nodes)
+    (gz,) = _sweep(ev, [term], points, a9, layout.nodes, factor_range=ev.fk_range)
     # G = u x z with u_l = b_a F_(al)(cd) phi'_cd, each node with its own b
     gz = gz.reshape(3, -1, 3, 3)
     G = np.einsum("mlq,ia,qial->im", ALTERNATING, layout.burgers, gz, optimize=False)
@@ -350,5 +376,5 @@ def energy_surface(surfaces, ev):
     helpers).
     """
     P, a9 = _surface_cloud(surfaces)
-    (sums,) = _sweep(ev, [(2, ev.fj, ev.weights[:, None])], P, a9)
+    (sums,) = _sweep(ev, [(2, ev.fj, ev.weights[:, None])], P, a9, factor_range=ev.fj_range)
     return 0.5 * float(sums.sum())

@@ -300,9 +300,14 @@ def mass_ratio(network):
     the segment's farther endpoint distance dmax; per center, the full
     segments are a prefix sum of |b| * length over the sorted radii.
     Only radii from the center-to-segment distance dmin up to dmax clip a
-    segment, and only those (center, segment, radius) triples are
-    clipped.  The cost is O(N^2 log N) for N nodes plus the triples, a
-    few per center and segment on a remeshed network.
+    segment, and only those (center, segment, radius) triples can be
+    clipped.  A radius's value is at most U / r, with U the |b| * length
+    of every segment that reaches into its ball, whole or not; radii whose
+    bound is below the best value of whole segments so far cannot hold
+    the maximum, and only the triples of the other radii are clipped.  A
+    clipped radius keeps all of its triples in their order, so the result
+    does not depend on the pruning.  The cost is O(N^2 log N) for N nodes
+    plus the triples, a few per center and segment on a remeshed network.
     """
     if network.is_empty():
         raise GeometryError("mass ratio of an empty network")
@@ -310,6 +315,7 @@ def mass_ratio(network):
     nodes, vecs, seg_len = layout.nodes, layout.segments, layout.seg_len
     n = len(nodes)
     bnorm = np.linalg.norm(layout.burgers, axis=1)
+    seg_mass = bnorm * seg_len
     a = np.einsum("md,md->m", vecs, vecs)
     best = 0.0
     block = max(1, MASS_RATIO_PAIRS // n)
@@ -331,20 +337,38 @@ def mass_ratio(network):
         k_hi, k_lo = counts[:, :n], counts[:, n:]
         r_sorted = np.sort(radii, axis=1)
         # the radii after segment m's dmax in the merged order hold it whole
-        whole = np.where(order < n, (bnorm * seg_len)[np.minimum(order, n - 1)], 0.0)
+        whole = np.where(order < n, seg_mass[np.minimum(order, n - 1)], 0.0)
         m_of_r = np.cumsum(whole, axis=1)[order >= 2 * n]
-        # (center, segment) pairs in row-major order, each with its radii
-        # k_lo <= k < k_hi, in slices of at most MASS_RATIO_TRIPLES triples
+        best = max(best, float((m_of_r.reshape(nc, n + 1) / r_sorted).max()))
+        # U at radius index k: the segments with k_lo <= k, a sum of
+        # nonnegative terms whose rounding stays within the 1e-12 margin
+        reach = np.bincount(
+            (np.arange(nc)[:, None] * (n + 2) + k_lo).ravel(),
+            weights=np.tile(seg_mass, nc),
+            minlength=nc * (n + 2),
+        )
+        upper = np.cumsum(reach.reshape(nc, n + 2), axis=1)[:, : n + 1]
+        keep = (upper / r_sorted >= best * (1.0 - 1e-12)).ravel()
+        kept = np.flatnonzero(keep)
+        # kept radii below each flat radius index, and each (center,
+        # segment) pair's first kept radius and count in k_lo <= k < k_hi
+        below = np.concatenate([[0], np.cumsum(keep)])
+        row0 = np.arange(nc)[:, None] * (n + 1)
+        kept_lo = below[(row0 + k_lo).ravel()]
+        n_kept = np.maximum(below[(row0 + k_hi).ravel()] - kept_lo, 0)
+        kept_first = np.cumsum(n_kept) - n_kept
+        # (center, segment) pairs in row-major order, in the slices of at
+        # most MASS_RATIO_TRIPLES candidate triples that an unpruned sum
+        # would use, so that each radius adds its triples in the same groups
         cross = np.maximum(k_hi - k_lo, 0).ravel()
         ends = np.cumsum(cross)
         first = ends - cross
         p0 = 0
         while p0 < len(cross):
             p1 = max(p0 + 1, int(np.searchsorted(ends, first[p0] + MASS_RATIO_TRIPLES, "right")))
-            pair = p0 + np.repeat(np.arange(p1 - p0), cross[p0:p1])
-            k = k_lo.ravel()[pair] + first[p0] + np.arange(len(pair)) - first[pair]
+            pair = p0 + np.repeat(np.arange(p1 - p0), n_kept[p0:p1])
+            bins = kept[kept_lo[pair] + kept_first[p0] + np.arange(len(pair)) - kept_first[pair]]
             m = pair % n
-            bins = (pair // n) * (n + 1) + k
             frac = _clipped_lengths(
                 a[m], b.ravel()[pair], c0.ravel()[pair], seg_len[m], r_sorted.ravel()[bins]
             )

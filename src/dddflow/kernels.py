@@ -197,11 +197,29 @@ def _j_factor_stack(C, nodes):
     return 0.5 * (f9 + np.transpose(f9, (0, 2, 1)))
 
 
+def _factor_range(f):
+    """Orthonormal bases (n, 9, q) of the ranges of the symmetric per-node
+    factors f (n, 9, 9), read-only: the eigenvectors by decreasing
+    |eigenvalue|, q the largest count over the nodes of eigenvalues above
+    1e-13 of their node's largest.  A node of lower rank keeps its next
+    eigenvectors, which still span its range."""
+    lam, vec = np.linalg.eigh(f)
+    mag = np.abs(lam)
+    q = max(1, int(np.count_nonzero(mag > 1e-13 * mag.max(axis=1, keepdims=True), axis=1).max()))
+    keep = np.argsort(-mag, axis=1, kind="stable")[:, None, :q]
+    out = np.take_along_axis(vec, keep, axis=2)
+    out.setflags(write=False)
+    return out
+
+
 class KernelEvaluator:
     """Immutable evaluator of the regularized kernels.
 
     Holds the spherical rule plus the precontracted per-node factors, so
     each evaluation is one profile sweep and one weighted contraction.
+    `fk_range` and `fj_range` span the factors' ranges per node (FK has
+    rank 5 and FJ rank 3 on the stiffnesses in use), so that kernel sums
+    can correlate fewer than 9 density channels.
     """
 
     def __init__(self, elasticity, profile, quadrature=None):
@@ -214,16 +232,24 @@ class KernelEvaluator:
         self.weights = quadrature.weights
         self.fk = _k_factor_stack(elasticity, self.nodes)
         self.fk.setflags(write=False)
+        self.fk_range = _factor_range(self.fk)
         self._fj_cache = None
 
-    @property
-    def fj(self):
+    def _j_factor(self):
         # J is only needed by surface energies; built on first use
         if self._fj_cache is None:
             fj = _j_factor_stack(self.elasticity, self.nodes)
             fj.setflags(write=False)
-            self._fj_cache = fj
+            self._fj_cache = fj, _factor_range(fj)
         return self._fj_cache
+
+    @property
+    def fj(self):
+        return self._j_factor()[0]
+
+    @property
+    def fj_range(self):
+        return self._j_factor()[1]
 
     @property
     def epsilon(self):

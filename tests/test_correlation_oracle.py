@@ -10,6 +10,7 @@ auxiliary field from a spanning surface, a cross-check of the line
 formula.
 """
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,7 @@ def exact_correlate(ev, orders, src_t, src_a, dst_t):
     d = (src_t if dst_t is None else dst_t)[:, :, None] - src_t[:, None, :]
     sums = [np.matmul(KN.eta(ev.profile, d, order), src_a) for order in orders]
     if dst_t is None:
-        return [src_a.T @ s for s in sums]
+        return [src_a.transpose(0, 2, 1) @ s for s in sums]
     return sums
 
 
@@ -138,6 +139,48 @@ def test_line_engine_matches_kernel_pair_sums(case):
     dK = dK.reshape(len(xn), n, 3, 3, 9, 3)
     G = np.einsum("mlq,sa,gx,sgalxq->sm", ALTERNATING, bvec, a9, dK, optimize=True)
     assert rel(EF.pk_force(net, ev, RULE).G, G) <= TOL
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_line_engine_in_factor_range_matches_pair_oracle():
+    """Six loops with the six cubic Burgers vectors: their b (x) e densities
+    span all 9 channels, so the engine correlates the 5 of FK's range."""
+    rng = np.random.default_rng(6)
+    lat = SH.cubic_lattice()
+    loops = [
+        SH.random_loop(lat, rng, n_nodes=7, scale=0.5, burgers=b, center=(li % 3, li // 3, 0.0))
+        for li, b in enumerate(BURGERS)
+    ]
+    net = GE.DislocationNetwork(lat, loops, 0.25)
+    ev = _evaluator(0.25, True)
+    assert np.linalg.matrix_rank(EF._gauss_cloud(net, RULE)[1]) == 9
+    assert ev.fk_range.shape[2] == 5
+    channels = []
+
+    def spy(ev, orders, src_t, src_a, dst_t):
+        channels.append(src_a.shape[2])
+        return correlate(ev, orders, src_t, src_a, dst_t)
+
+    correlate = EF._correlate
+    with mock.patch.object(EF, "_correlate", spy):
+        bd = EF.energy_line(net, ev, RULE)
+        e, g = EF.energy_and_gradient(net, ev, RULE)
+        G = EF.pk_force(net, ev, RULE).G
+    # energy_line puts each of the six loops in its own 5 slots
+    assert set(channels) == {5, 6 * 5}
+    # without the range the engine correlates the densities' 9 channels
+    ev_full = copy.copy(ev)
+    ev_full.fk_range = None
+    assert rel(bd.matrix, EF.energy_line(net, ev_full, RULE).matrix) <= 1e-12
+    e_full, g_full = EF.energy_and_gradient(net, ev_full, RULE)
+    assert abs(e - e_full) <= 1e-12 * abs(e_full)
+    assert rel(g, g_full) <= 1e-12
+    assert rel(G, EF.pk_force(net, ev_full, RULE).G) <= 1e-12
+    assert rel(bd.matrix, pair_sum(EF.energy_line, net, ev, RULE).matrix) <= TOL
+    e_pair, g_pair = pair_sum(EF.energy_and_gradient, net, ev, RULE)
+    assert abs(e - e_pair) <= TOL * abs(e_pair)
+    assert rel(g, g_pair) <= TOL
+    assert rel(G, pair_sum(EF.pk_force, net, ev, RULE).G) <= TOL
 
 
 @st.composite

@@ -78,8 +78,9 @@ def test_parseval_sums_equal_gathered_sums(three_loop_net, ev_quarter, rule4):
     points, a9 = EF._gauss_cloud(three_loop_net, rule4)
     ts = ev_quarter.nodes[:16] @ points.T
     orders = (0, 1, 2)
-    sums = EF._correlate(ev_quarter, orders, ts, a9, None)
-    gathered = EF._correlate(ev_quarter, orders, ts, a9, ts)
+    a = np.broadcast_to(a9, (len(ts),) + a9.shape)
+    sums = EF._correlate(ev_quarter, orders, ts, a, None)
+    gathered = EF._correlate(ev_quarter, orders, ts, a, ts)
     for got, corr in zip(sums, gathered):
         want = np.matmul(a9.T, corr)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -114,6 +114,31 @@ def test_cached_factors_match_reference(iso11, ev_unit):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _random_stiffness(rng):
+    """Isotropic plus sum_k S_k (x) S_k over random symmetric S_k: all index
+    symmetries, and strongly elliptic."""
+    S = rng.normal(size=(4, 3, 3))
+    S = S + S.transpose(0, 2, 1)
+    return EL.ElasticityTensor(EL.make_isotropic(1.0, 1.0).c + 0.3 * np.einsum("kij,klm->ijlm", S, S))
+
+
+def test_factor_ranges_orthonormal_and_rebuild_factors(iso11, rng):
+    cubic = EL.make_isotropic(1.4, 1.0).c.copy()
+    for n in range(3):
+        cubic[n, n, n, n] -= 1.0  # (c11, c12, c44) = (2.4, 1.4, 1.0), as in loop_ensemble
+    rule = KN.SphericalQuadrature.product_rule(16, 32)
+    cases = [(iso11, 5, 3), (EL.ElasticityTensor(cubic), 5, 3), (_random_stiffness(rng), None, None)]
+    for C, q_k, q_j in cases:
+        ev = KN.KernelEvaluator(C, KN.MollifierProfile(1.0), rule)
+        for F, V, q in ((ev.fk, ev.fk_range, q_k), (ev.fj, ev.fj_range, q_j)):
+            if q is not None:
+                assert V.shape == (len(ev.nodes), 9, q)
+            Vt = V.transpose(0, 2, 1)
+            assert np.abs(Vt @ V - np.eye(V.shape[2])).max() <= 1e-14
+            assert np.abs(V @ (Vt @ F @ V) @ Vt - F).max() <= 1e-14 * np.abs(F).max()
+            assert not V.flags.writeable
+
+
 def test_kernel_symmetries_bit_exact(ev_unit, rng):
     S = np.array([rng.normal(size=3) * rng.uniform(0, 40) for _ in range(10)])
     K, K_neg = KN.sphere_sum(ev_unit, S), KN.sphere_sum(ev_unit, -S)
