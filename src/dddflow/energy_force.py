@@ -355,7 +355,13 @@ def pk_force(network, ev, rule):
 
 
 def _surface_cloud(surfaces):
-    """Midedge 3-point rule: points and weighted b (x) n densities."""
+    """Midedge 3-point rule: the distinct points and their summed weighted
+    b (x) n densities.
+
+    Each interior edge's midpoint comes once from each adjacent triangle.
+    Coincident points project alike on every sphere node, so one point
+    carrying their summed density gives the same sums up to rounding.
+    """
     pts, a9 = [], []
     for surf in surfaces:
         tri = surf.triangles
@@ -363,7 +369,10 @@ def _surface_cloud(surfaces):
         for i, j in ((0, 1), (1, 2), (2, 0)):
             pts.append(0.5 * (tri[:, i] + tri[:, j]))
             a9.append(bn * (surf.areas / 3.0)[:, None])
-    return np.concatenate(pts), np.concatenate(a9)
+    points, inverse = np.unique(np.concatenate(pts), axis=0, return_inverse=True)
+    dens = np.zeros((len(points), 9))
+    np.add.at(dens, inverse.reshape(-1), np.concatenate(a9))
+    return points, dens
 
 
 def energy_surface(surfaces, ev):

@@ -100,6 +100,21 @@ def energy_csv(breakdown):
 
 
 _IDX4 = [(a, b, c, d) for a in range(3) for b in range(3) for c in range(3) for d in range(3)]
+# Points per block of the kernel table, at most: its arrays stay a few MB
+# on any grid.  The blocks are of equal size, as a small last block could
+# take a different multithreaded BLAS path and round differently.
+TABLE_BLOCK = 256
+
+
+def _csv_row(row):
+    """`",".join(map(repr, row))`, with one repr per distinct bit pattern.
+
+    K_abcd = K_cdab repeats about half of each table row.  Bit patterns,
+    not values, are compared, so 0.0 and -0.0 keep their own text.
+    """
+    bits, inverse = np.unique(row.view(np.uint64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return ",".join([text[i] for i in inverse.tolist()])
 
 
 def kernel_table_csv(ev, points, include_grad=False):
@@ -107,24 +122,25 @@ def kernel_table_csv(ev, points, include_grad=False):
 
     Component columns are row-major over the indices: K_abcd with d
     fastest; gradient columns dK_abcd_e append the derivative index
-    fastest of all.
+    fastest of all.  The sums run over blocks of TABLE_BLOCK points, each
+    formatted as soon as it is computed.
     """
     from .kernels import sphere_sum
 
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     header = ["s_x", "s_y", "s_z"]
     header += [f"K_{a + 1}{b + 1}{c + 1}{d + 1}" for a, b, c, d in _IDX4]
-    K = sphere_sum(ev, points).reshape(-1, 81)
-    blocks = [points, K]
     if include_grad:
         header += [f"dK_{a + 1}{b + 1}{c + 1}{d + 1}_{e + 1}" for a, b, c, d in _IDX4 for e in range(3)]
-        dK = [sphere_sum(ev, points, 1, directions=[e]).reshape(-1, 81) for e in np.eye(3)]
-        blocks.append(np.stack(dK, axis=-1).reshape(-1, 243))
-    data = np.concatenate(blocks, axis=1)
     lines = [",".join(header)]
-    for row in data:
-        lines.append(",".join(map(repr, row.tolist())))
-    return "\n".join(lines) + "\n"
+    for p in np.array_split(points, max(1, int(np.ceil(len(points) / TABLE_BLOCK)))):
+        blocks = [p, sphere_sum(ev, p).reshape(-1, 81)]
+        if include_grad:
+            dK = [sphere_sum(ev, p, 1, directions=[e]).reshape(-1, 81) for e in np.eye(3)]
+            blocks.append(np.stack(dK, axis=-1).reshape(-1, 243))
+        lines.extend(map(_csv_row, np.concatenate(blocks, axis=1)))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_events(events, path):

@@ -6,6 +6,7 @@ import pytest
 from dddflow import cli, netio
 from dddflow import energy_force as EF
 from dddflow import geometry as GE
+from dddflow import kernels as KN
 from dddflow import shapes as SH
 from dddflow.config import load_config, loads_config
 from dddflow.errors import ConfigError, GeometryError
@@ -152,6 +153,44 @@ def test_kernel_table(lat, ev_unit):
     row = np.array([float(v) for v in lines[1].split(",")])
     want = sphere_sum(ev_unit, pts)[0].ravel()
     assert np.allclose(row[3:84], want, rtol=1e-15)
+
+
+def test_kernel_table_formats_every_value_by_repr(monkeypatch):
+    # repeats, both zeros, neighbours one ulp apart, subnormals and non-finite values
+    pool = [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0, 0.1, 5e-324, -5e-324]
+    pool += [1e300, np.inf, -np.inf, np.nan]
+    n = netio.TABLE_BLOCK + 45
+    rng = np.random.default_rng(3)
+    tables = rng.choice(pool, size=(4, n, 81))  # K, then dK along x, y, z
+
+    def fake_sphere_sum(ev, S, order=0, factor=None, directions=None):
+        which = 0 if directions is None else 1 + int(np.argmax(directions[0]))
+        return tables[which][S[:, 0].astype(int)].reshape(-1, 3, 3, 3, 3)
+
+    monkeypatch.setattr("dddflow.kernels.sphere_sum", fake_sphere_sum)
+    pts = np.zeros((n, 3))
+    pts[:, 0] = np.arange(n)
+    pts[:, 1] = -0.0
+    text = netio.kernel_table_csv(None, pts, include_grad=True)
+    data = np.concatenate([pts, tables[0], np.stack(tables[1:], axis=-1).reshape(n, 243)], axis=1)
+    body = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+    assert text.split("\n", 1)[1] == body
+
+
+def test_kernel_table_memory_is_bounded(iso11):
+    import tracemalloc
+
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.1), KN.SphericalQuadrature.product_rule(12, 24))
+    axes = [np.linspace(-1.0, 1.0, 12)] * 3
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    tracemalloc.start()
+    try:
+        text = netio.kernel_table_csv(ev, pts, include_grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text itself and its rows before the join come to 2x
+    assert peak <= 2.5 * len(text)
 
 
 def _write_inputs(tmp_path, lat, n_nodes=24, radius=0.5, epsilon=0.1, extra_cfg=None):

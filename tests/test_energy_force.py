@@ -201,6 +201,41 @@ def test_surface_energy_orientation_invariance(lat):
     assert e1 == pytest.approx(e2, rel=1e-12)
 
 
+def unmerged_surface_cloud(surfaces):
+    """The midedge rule with every triangle's three points kept apart."""
+    pts, a9 = [], []
+    for surf in surfaces:
+        tri = surf.triangles
+        bn = np.einsum("a,tm->tam", surf.slip.cartesian, surf.normals).reshape(-1, 9)
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            pts.append(0.5 * (tri[:, i] + tri[:, j]))
+            a9.append(bn * (surf.areas / 3.0)[:, None])
+    return np.concatenate(pts), np.concatenate(a9)
+
+
+@pytest.mark.parametrize("n", [3, 7, 24])
+def test_surface_cloud_merges_shared_midpoints(lat, n):
+    fan = GE.make_planar_surface(SH.circle_loop(lat, 1.0, n, burgers=(1, 1, 0)))
+    P, a9 = EF._surface_cloud([fan])
+    # n spokes shared by two triangles each, n boundary edges
+    assert P.shape == (2 * n, 3)
+    assert len(np.unique(P, axis=0)) == 2 * n
+    _, a9_all = unmerged_surface_cloud([fan])
+    assert np.abs(a9.sum(axis=0) - a9_all.sum(axis=0)).max() <= 1e-15 * np.abs(a9_all).sum()
+
+
+def test_surface_energy_matches_unmerged_cloud(lat, monkeypatch):
+    ev = KN.KernelEvaluator(EL.make_isotropic(1, 1), KN.MollifierProfile(0.25))
+    loop = SH.circle_loop(lat, 1.0, 24)
+    disk = GE.make_planar_surface(loop).split_radial()
+    cone = GE.make_cone_surface(loop, loop.nodes.mean(axis=0) + [0.1, -0.2, 0.5]).split_radial()
+    merged = [EF.energy_surface([s], ev) for s in (disk, cone)]
+    monkeypatch.setattr(EF, "_surface_cloud", unmerged_surface_cloud)
+    for e, s in zip(merged, (disk, cone)):
+        e_all = EF.energy_surface([s], ev)
+        assert abs(e - e_all) <= 1e-13 * abs(e_all)
+
+
 def force_bound_ratios(net, field):
     """pk_linf through the run's monitor, and pk_l2 (which no run monitors):
     |f|_2 <= C_pk_l2 / eps |b|_max sqrt(M) theta log(1 + 2 M / (eps theta))."""
