@@ -13,8 +13,8 @@ the b (x) e densities with eta, eta' or eta''; `_correlate` evaluates it
 on a uniform grid by FFT at linear cost in the point count, and `_sweep`
 contracts it with the node's factor into the weighted sphere sum.  The
 densities are correlated in the narrower of their own basis and the
-range of the node's factor.  Sphere nodes are processed in fixed chunks,
-summed in index order.
+range of the node's factor.  Sphere nodes are processed in equal chunks
+sized by a memory budget, summed in index order.
 """
 
 import functools
@@ -92,10 +92,13 @@ def _gauss_cloud(network, rule):
 GRID_STEP = 1.0 / 6.0
 # Profile support in units of eps: exp(-12^2 / 4) = 2.3e-16 relative.
 KERNEL_CUT = 12.0
+# The same in grid spacings: no kernel reaches more lags than this.
+KERNEL_HALF = int(np.ceil(KERNEL_CUT / GRID_STEP))
 # Doubles per chunk for the grid and for the per-point arrays (2 MB
 # each): bounds memory on large clouds and on sparse networks, whose
-# grids span the empty space.  At 8 MB the slip energy of two 2592-point
-# disks peaked 50 MB higher.
+# grids span the empty space, and alone sets the number of chunks, so a
+# small cloud sweeps every sphere node at once.  At 8 MB the slip energy
+# of two 2592-point disks peaked 50 MB higher.
 CHUNK_BUDGET = 1 << 18
 # Quintic B-spline weights on taps i0 - 2 .. i0 + 3 of a point at grid
 # coordinate i0 + f: row p holds the coefficients of f^p.
@@ -140,16 +143,25 @@ def _spline_matrix(t, lo, dx, nfft):
 # spectrum once per length took 12% off the CPU time of
 # energy_and_gradient (six sparse loops, 16x32 rule, 2-core x86 host).
 @functools.lru_cache(maxsize=64)
-def _kernel_spectrum(epsilon, order, nfft):
+def _kernel_spectrum(epsilon, order, nfft, reach):
     """rFFT of eta^(order) sampled on the grid (cut at +-KERNEL_CUT eps)
-    over the spline's sinc^12 (deposit and gather); read-only."""
-    half = int(np.ceil(KERNEL_CUT / GRID_STEP))
+    over the spline's sinc^12 (deposit and gather), then cut at +-reach
+    spacings; read-only.  The profile is deconvolved on its shortest grid
+    before the cut, since the sinc^-12 filter spreads a cut profile."""
+    half = KERNEL_HALF
+    n = nfft if reach == half else scipy.fft.next_fast_len(2 * half + 1, real=True)
     toff = np.arange(-half, half + 1) * (GRID_STEP * epsilon)
     prof = MollifierProfile(epsilon)
-    ker = np.zeros(nfft)
+    ker = np.zeros(n)
     ker[: half + 1] = eta(prof, toff[half:], order)
     ker[-half:] = eta(prof, toff[:half], order)
-    spec = scipy.fft.rfft(ker) / np.sinc(np.arange(nfft // 2 + 1) / nfft) ** 12
+    spec = scipy.fft.rfft(ker) / np.sinc(np.arange(n // 2 + 1) / n) ** 12
+    if reach < half:
+        full = scipy.fft.irfft(spec, n)
+        ker = np.zeros(nfft)
+        ker[: reach + 1] = full[: reach + 1]
+        ker[-reach:] = full[-reach:]
+        spec = scipy.fft.rfft(ker)
     spec.setflags(write=False)
     return spec
 
@@ -165,26 +177,30 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     through one sparse quintic B-spline matrix for all nodes, convolved by
     one batched rFFT with the sampled profile derivative, deconvolved by
     the spline's sinc^12 (deposit and gather), and gathered with the same
-    spline.  Without targets the gather is the deposit transposed, so the
-    sums are rho^H K rho over the spectrum (Parseval): no inverse FFT.
+    spline.  The profile is cut at KERNEL_CUT or at the chunk's widest
+    projection, whichever is shorter; the grid spans the projection and
+    that cut.  Without targets the gather is the deposit transposed, so
+    the sums are rho^H K rho over the spectrum (Parseval): no inverse FFT.
     """
     eps = ev.profile.epsilon
     dx = GRID_STEP * eps
-    half = int(np.ceil(KERNEL_CUT / GRID_STEP))
     zc, n_chan = len(src_t), src_a.shape[2]
     lo, hi = src_t.min(axis=1), src_t.max(axis=1)
     if dst_t is not None and dst_t is not src_t:
         lo, hi = np.minimum(lo, dst_t.min(axis=1)), np.maximum(hi, dst_t.max(axis=1))
-    # taps run from index 1 (a point at lo) to int((hi - lo) / dx) + 6
-    m = int((hi - lo).max() / dx) + 7
-    # no wrap-around between the grid's ends, and no overlap of the
+    # taps run from index 1 (a point at lo) to m - 1 = int((hi - lo) / dx) + 6,
+    # so targets meet sources only at lags below m - 1 and the kernel is
+    # cut there when that is shorter than its own cut: exact, and the grid
+    # then has no wrap-around between its ends and no overlap of the
     # kernel's two halves (that breaks the antisymmetry of eta')
-    nfft = scipy.fft.next_fast_len(max(m + half, 2 * half + 1), real=True)
+    m = int((hi - lo).max() / dx) + 7
+    reach = min(m - 1, KERNEL_HALF)
+    nfft = scipy.fft.next_fast_len(m + reach, real=True)
     spline = _spline_matrix(src_t, lo, dx, nfft)
     rho = spline.T @ src_a.reshape(zc * src_t.shape[1], n_chan)
     spec = scipy.fft.rfft(rho.reshape(zc, nfft, n_chan), axis=1)
     del rho
-    kernels = [_kernel_spectrum(eps, order, nfft) for order in orders]
+    kernels = [_kernel_spectrum(eps, order, nfft, reach) for order in orders]
     if dst_t is None:
         # bins other than 0 and nfft/2 stand for their conjugates as well
         weight = np.full(nfft // 2 + 1, 2.0 / nfft)
@@ -222,9 +238,9 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_r
     sources are the targets, F is 9 x 9, and a term gives the
     (p, n_groups, n_groups) sums sum_k W[k] (x) sum src_a[i, d] F[k, d, c]
     corr_k[i, c] over the sources i of group m = src_group[i] and the
-    correlation of group n's densities only.  Chunks of sphere nodes are
-    added in index order; their size follows from the network's extent
-    and size only.
+    correlation of group n's densities only.  The sphere nodes are split
+    into as few equal chunks as CHUNK_BUDGET allows, added in index order;
+    their count follows from the network's extent and size only.
 
     factor_range (n_sphere, 9, q), if given, spans the range of every
     term's F at each node, which is symmetric: F = V V^T F = F V V^T.  The
@@ -264,13 +280,15 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_r
     cloud = src if dst is None or dst is src else np.concatenate((src, dst))
     span = 2.0 * float(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1).max())
     n_points = len(src) + (0 if dst is None else len(dst))
+    grid = span / (GRID_STEP * ev.epsilon)
     per_node = max(
-        n_groups * r * (span / (GRID_STEP * ev.epsilon) + 2 * KERNEL_CUT / GRID_STEP),
+        n_groups * r * (grid + min(grid, KERNEL_HALF)),
         (12 + n_groups * r) * n_points,
     )
-    chunk = int(max(1, min(32, CHUNK_BUDGET // per_node)))
-    for lo in range(0, len(ev.weights), chunk):
-        hi = min(lo + chunk, len(ev.weights))
+    n_sphere = len(ev.weights)
+    n_chunks = int(np.ceil(n_sphere / max(1, CHUNK_BUDGET // per_node)))
+    for nodes in np.array_split(np.arange(n_sphere), n_chunks):
+        lo, hi = nodes[0], nodes[-1] + 1
         ts = ev.nodes[lo:hi] @ src.T
         if by_range:
             a = src_a @ factor_range[lo:hi]

@@ -183,6 +183,37 @@ def test_line_engine_in_factor_range_matches_pair_oracle():
     assert rel(G, pair_sum(EF.pk_force, net, ev, RULE).G) <= TOL
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("anisotropic", [False, True])
+def test_compact_loop_with_cut_kernel_matches_pair_oracle(anisotropic):
+    """One 8-node loop of diameter below 3 eps: every chunk's projections
+    span fewer grid nodes than the profile's cut, so every kernel is cut
+    at the cloud's own extent."""
+    eps = 0.25
+    rng = np.random.default_rng(8)
+    loop = SH.random_loop(SH.cubic_lattice(), rng, n_nodes=8, scale=1.1 * eps, burgers=(1, 1, 0))
+    assert np.linalg.norm(loop.nodes[:, None] - loop.nodes[None], axis=2).max() <= 3.0 * eps
+    net = SH.single_loop_network(loop, eps)
+    ev = _evaluator(eps, anisotropic)
+    reaches = []
+
+    def spy(epsilon, order, nfft, reach):
+        reaches.append(reach)
+        return spectrum(epsilon, order, nfft, reach)
+
+    spectrum = EF._kernel_spectrum
+    with mock.patch.object(EF, "_kernel_spectrum", spy):
+        bd = EF.energy_line(net, ev, RULE)
+        e, g = EF.energy_and_gradient(net, ev, RULE)
+        G = EF.pk_force(net, ev, RULE).G
+    assert reaches and max(reaches) < EF.KERNEL_HALF
+    assert rel(bd.matrix, pair_sum(EF.energy_line, net, ev, RULE).matrix) <= TOL
+    e_pair, g_pair = pair_sum(EF.energy_and_gradient, net, ev, RULE)
+    assert abs(e - e_pair) <= TOL * abs(e_pair)
+    assert rel(g, g_pair) <= TOL
+    assert rel(G, pair_sum(EF.pk_force, net, ev, RULE).G) <= TOL
+
+
 @st.composite
 def spanned_loops(draw):
     """One or two loops with cone surfaces; two give cross-surface terms."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from dddflow import elasticity as EL
 from dddflow import energy_force as EF
@@ -84,6 +85,79 @@ def test_parseval_sums_equal_gathered_sums(three_loop_net, ev_quarter, rule4):
     for got, corr in zip(sums, gathered):
         want = np.matmul(a9.T, corr)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+HALF = 72  # the profile's +-12 eps cut in eps/6 grid spacings
+
+
+def long_grid_correlate(ev, order, src_t, src_a, dst_t):
+    """`_correlate`'s gathered sums on a grid of 512 nodes with the kernel
+    at its full cut, so no lag that a target meets is dropped."""
+    eps, nfft = ev.profile.epsilon, 512
+    dx = EF.GRID_STEP * eps
+    lo = np.minimum(src_t.min(axis=1), dst_t.min(axis=1))
+    zc, n_chan = len(src_t), src_a.shape[2]
+    rho = EF._spline_matrix(src_t, lo, dx, nfft).T @ src_a.reshape(-1, n_chan)
+    spec = scipy.fft.rfft(rho.reshape(zc, nfft, n_chan), axis=1)
+    conv = scipy.fft.irfft(spec * EF._kernel_spectrum(eps, order, nfft, HALF)[:, None], n=nfft, axis=1)
+    gathered = EF._spline_matrix(dst_t, lo, dx, nfft) @ conv.reshape(zc * nfft, n_chan)
+    return gathered.reshape(zc, -1, n_chan)
+
+
+@pytest.mark.parametrize("m", [8, 20, 72, 73, 74])
+def test_cut_kernel_correlation_matches_long_grid(ev_quarter, m, rng):
+    # a chunk of three sphere nodes whose widest projection gives m
+    dx = EF.GRID_STEP * ev_quarter.profile.epsilon
+    extent = (m - 6.5) * dx
+    src_t = 3.7 + extent * rng.uniform(0.0, 1.0, (3, 40)) * np.array([[1.0], [0.9], [0.6]])
+    src_t[0, :2] = 3.7, 3.7 + extent
+    dst_t = 3.7 + extent * rng.uniform(0.0, 1.0, (3, 25))
+    src_a = rng.normal(size=(3, 40, 2))
+    orders = (0, 1, 2)
+    for targets in (src_t, dst_t, None):
+        got = EF._correlate(ev_quarter, orders, src_t, src_a, targets)
+        for order, g in zip(orders, got):
+            if targets is None:  # the Parseval path: sums over the sources
+                want = src_a.transpose(0, 2, 1) @ long_grid_correlate(ev_quarter, order, src_t, src_a, src_t)
+            else:
+                want = long_grid_correlate(ev_quarter, order, src_t, src_a, targets)
+            assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nfft", [150, 160, 512])
+def test_full_reach_spectrum_is_unchanged(nfft):
+    eps = 0.25
+    toff = np.arange(-HALF, HALF + 1) * (EF.GRID_STEP * eps)
+    prof = KN.MollifierProfile(eps)
+    for order in (0, 1, 2):
+        ker = np.zeros(nfft)
+        ker[: HALF + 1] = KN.eta(prof, toff[HALF:], order)
+        ker[-HALF:] = KN.eta(prof, toff[:HALF], order)
+        want = scipy.fft.rfft(ker) / np.sinc(np.arange(nfft // 2 + 1) / nfft) ** 12
+        assert np.array_equal(EF._kernel_spectrum(eps, order, nfft, HALF), want)
+
+
+@pytest.mark.parametrize("n_nodes, radius, chunks", [(10, 0.1, [256]), (128, 1.0, [32] * 8)])
+def test_sweep_sizes_chunks_and_grids_by_the_cloud(lat, iso11, monkeypatch, n_nodes, radius, chunks):
+    # the shrink run's rule at its start (R = 10 eps) and near its end (R = eps)
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.1), KN.SphericalQuadrature.product_rule(16, 32))
+    net = SH.single_loop_network(SH.circle_loop(lat, radius, n_nodes), 0.1)
+    sizes, grids = [], []
+    correlate, spline = EF._correlate, EF._spline_matrix
+
+    def spy_correlate(ev, orders, src_t, src_a, dst_t):
+        sizes.append(len(src_t))
+        return correlate(ev, orders, src_t, src_a, dst_t)
+
+    def spy_spline(t, lo, dx, nfft):
+        grids.append(nfft)
+        return spline(t, lo, dx, nfft)
+
+    monkeypatch.setattr(EF, "_correlate", spy_correlate)
+    monkeypatch.setattr(EF, "_spline_matrix", spy_spline)
+    EF.energy_and_gradient(net, ev, EF.LineQuadratureRule(2))
+    assert sizes == chunks
+    assert (max(grids) < 2 * HALF + 1) == (n_nodes == 10)
 
 
 def test_energy_positive_and_translation_invariant(three_loop_net, ev_quarter, rule4):
