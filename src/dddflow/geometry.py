@@ -252,15 +252,13 @@ def mass(network):
     return float(sum(lp.burgers.norm * lp.total_length() for lp in network.loops))
 
 
-def _count_below(keys, rows):
-    """Per row i, the number of entries of rows[i] strictly below each
-    keys[i, j], and the stable order that merges keys and rows along
-    axis 1 (a key sorts before the row entries equal to it)."""
-    order = np.argsort(np.concatenate([keys, rows], axis=1), axis=1, kind="stable")
-    below = np.cumsum(order >= keys.shape[1], axis=1)
-    counts = np.empty_like(below)
-    np.put_along_axis(counts, order, below, axis=1)
-    return counts[:, : keys.shape[1]], order
+def _prefix_mass(k, seg_mass):
+    """Per center row of k, the total seg_mass of the segments m with
+    k[:, m] <= j, for each sorted radius index j = 0..n."""
+    nc, n = k.shape
+    flat = (np.arange(nc)[:, None] * (n + 2) + k).ravel()
+    at_k = np.bincount(flat, np.tile(seg_mass, nc), nc * (n + 2))
+    return np.cumsum(at_k.reshape(nc, n + 2), axis=1)[:, : n + 1]
 
 
 def _clipped_lengths(a, b, c0, seg_len, r):
@@ -296,13 +294,16 @@ def mass_ratio(network):
     estimate marginally above the smooth-curve supremum, which the
     acceptance gate treats as the reference value.)
 
-    A ball is convex, so a segment lies inside it once the radius reaches
-    the segment's farther endpoint distance dmax; per center, the full
-    segments are a prefix sum of |b| * length over the sorted radii.
-    Only radii from the center-to-segment distance dmin up to dmax clip a
-    segment, and only those (center, segment, radius) triples can be
-    clipped.  A radius's value is at most U / r, with U the |b| * length
-    of every segment that reaches into its ball, whole or not; radii whose
+    Each center's radii are sorted once, and each segment is ranked in
+    them by binary search: k_hi radii lie strictly below its farther
+    endpoint distance dmax and k_lo below its distance dmin to the
+    center.  A ball is convex, so from rank k_hi on it holds the segment
+    whole, and below k_lo it misses it.  The whole-segment mass W and
+    the bound U (the |b| * length of every segment that reaches into the
+    ball) are built one way: each segment's |b| * length added at its
+    rank, k_hi for W and k_lo for U, then summed along the radii.  Only
+    the (center, segment, radius) triples with a rank from k_lo up to
+    k_hi need clipping.  A radius's value is at most U / r; radii whose
     bound is below the best value of whole segments so far cannot hold
     the maximum, and only the triples of the other radii are clipped.  A
     clipped radius keeps all of its triples in their order, so the result
@@ -317,37 +318,30 @@ def mass_ratio(network):
     bnorm = np.linalg.norm(layout.burgers, axis=1)
     seg_mass = bnorm * seg_len
     a = np.einsum("md,md->m", vecs, vecs)
+    vx, vy, vz = vecs.T
     best = 0.0
     block = max(1, MASS_RATIO_PAIRS // n)
     for lo in range(0, n, block):
         cb = nodes[lo : lo + block]
         nc = len(cb)
-        rel = nodes[None, :, :] - cb[:, None, :]  # (c, m, 3): segment starts
-        d = np.linalg.norm(rel, axis=2)
+        rel = nodes.T[:, None, :] - cb.T[:, :, None]  # (3, c, m): segment starts
+        c0 = rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2
+        d = np.sqrt(c0)
         radii = np.concatenate([d, np.full((nc, 1), 0.5 * network.epsilon)], axis=1)
-        radii = np.where(radii > 1e-12, radii, 0.5 * network.epsilon)
+        r_sorted = np.sort(np.where(radii > 1e-12, radii, 0.5 * network.epsilon), axis=1)
         dmax = np.maximum(d, d[:, layout.succ])
-        b = 2.0 * np.einsum("cmd,md->cm", rel, vecs)
-        c0 = np.einsum("cmd,cmd->cm", rel, rel)
+        b = 2.0 * (rel[0] * vx + rel[1] * vy + rel[2] * vz)
         foot = np.clip(-b / (2.0 * a), 0.0, 1.0)
         # radii below dmin by this margin clip to exactly 0 despite the
         # quadratic's rounding (~1e-15 dmax^2), so they need no triple
         dlow = np.sqrt(np.maximum(c0 + foot * (b + a * foot) - 1e-12 * dmax**2, 0.0))
-        counts, order = _count_below(np.concatenate([dmax, dlow], axis=1), radii)
-        k_hi, k_lo = counts[:, :n], counts[:, n:]
-        r_sorted = np.sort(radii, axis=1)
-        # the radii after segment m's dmax in the merged order hold it whole
-        whole = np.where(order < n, seg_mass[np.minimum(order, n - 1)], 0.0)
-        m_of_r = np.cumsum(whole, axis=1)[order >= 2 * n]
-        best = max(best, float((m_of_r.reshape(nc, n + 1) / r_sorted).max()))
+        k_hi = np.array([np.searchsorted(r, key) for r, key in zip(r_sorted, dmax)])
+        k_lo = np.array([np.searchsorted(r, key) for r, key in zip(r_sorted, dlow)])
+        m_of_r = _prefix_mass(k_hi, seg_mass)
+        best = max(best, float((m_of_r / r_sorted).max()))
         # U at radius index k: the segments with k_lo <= k, a sum of
         # nonnegative terms whose rounding stays within the 1e-12 margin
-        reach = np.bincount(
-            (np.arange(nc)[:, None] * (n + 2) + k_lo).ravel(),
-            weights=np.tile(seg_mass, nc),
-            minlength=nc * (n + 2),
-        )
-        upper = np.cumsum(reach.reshape(nc, n + 2), axis=1)[:, : n + 1]
+        upper = _prefix_mass(k_lo, seg_mass)
         keep = (upper / r_sorted >= best * (1.0 - 1e-12)).ravel()
         kept = np.flatnonzero(keep)
         # kept radii below each flat radius index, and each (center,
@@ -372,9 +366,10 @@ def mass_ratio(network):
             frac = _clipped_lengths(
                 a[m], b.ravel()[pair], c0.ravel()[pair], seg_len[m], r_sorted.ravel()[bins]
             )
-            m_of_r += np.bincount(bins, weights=bnorm[m] * frac, minlength=nc * (n + 1))
+            clipped = np.bincount(bins, weights=bnorm[m] * frac, minlength=nc * (n + 1))
+            m_of_r += clipped.reshape(nc, n + 1)
             p0 = p1
-        best = max(best, float((m_of_r.reshape(nc, n + 1) / r_sorted).max()))
+        best = max(best, float((m_of_r / r_sorted).max()))
     return best
 
 

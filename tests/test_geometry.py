@@ -288,6 +288,19 @@ def test_mass_ratio_large_circle_window(lat):
     assert 0.99 * np.pi <= theta <= np.pi
 
 
+def test_mass_ratio_memory(lat):
+    # the merged sort of 3n+1 keys per center and the (c, n, 3) offsets peaked at 21.8 MB
+    net = GE.DislocationNetwork(lat, [SH.circle_loop(lat, 512 * 0.05 / (2 * np.pi), 512)], 0.1)
+    net.layout
+    tracemalloc.start()
+    try:
+        GE.mass_ratio(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
 def test_mass_ratio_lower_bound(lat, rng):
     nets = [
         GE.DislocationNetwork(lat, [SH.circle_loop(lat, 1.0, 16)], 0.1),
