@@ -51,6 +51,6 @@ from .kernels import (
     eval_K_direct,
     sphere_sum,
 )
-from .mobility import BccDrag, DragMatrix, IsotropicDrag, MobilityModel, drag_matrix
+from .mobility import BccDrag, IsotropicDrag, MobilityModel, drag_matrix
 
 __version__ = "0.1.0"

@@ -242,17 +242,24 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_r
     into as few equal chunks as CHUNK_BUDGET allows, added in index order;
     their count follows from the network's extent and size only.
 
-    factor_range (n_sphere, 9, q), if given, spans the range of every
-    term's F at each node, which is symmetric: F = V V^T F = F V V^T.  The
-    densities are then correlated in q channels per node where their own
-    basis has more."""
+    factor_range, if given, returns the bases V (n_sphere, 9, q) of the
+    range of every term's F at each node, which is symmetric: F = V V^T F
+    = F V V^T.  The densities are then correlated in q channels per node
+    where their own basis has more.  q is at least F's rank at the first
+    node, so the range is built only for densities that span more
+    channels than that."""
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
     # single loop): their coordinates in that basis are shared by all nodes
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
-    by_range = factor_range is not None and factor_range.shape[2] < len(basis)
+    V = None
+    if factor_range is not None:
+        lam = np.abs(np.linalg.eigvalsh(terms[0][1][0]))
+        if len(basis) > np.count_nonzero(lam > 1e-13 * lam.max()):
+            V = factor_range()
+    by_range = V is not None and V.shape[2] < len(basis)
     if by_range:
-        left, right = np.swapaxes(factor_range, 1, 2), factor_range
+        left, right = np.swapaxes(V, 1, 2), V
     else:
         left, right = basis, basis.T
         coords = src_a @ basis.T
@@ -291,7 +298,7 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_r
         lo, hi = nodes[0], nodes[-1] + 1
         ts = ev.nodes[lo:hi] @ src.T
         if by_range:
-            a = src_a @ factor_range[lo:hi]
+            a = src_a @ V[lo:hi]
             if src_group is not None:
                 a = _group_slots(a, src_group, n_groups)
         else:
@@ -318,7 +325,13 @@ def energy_line(network, ev, rule):
     loop_of = np.tile(network.layout.loop_of, rule.order)
     term = (0, ev.fk, ev.weights[:, None])
     (sums,) = _sweep(
-        ev, [term], points, a9, src_group=loop_of, n_groups=network.n_loops, factor_range=ev.fk_range
+        ev,
+        [term],
+        points,
+        a9,
+        src_group=loop_of,
+        n_groups=network.n_loops,
+        factor_range=lambda: ev.fk_range,
     )
     blocks = 0.5 * sums[0]
     return EnergyBreakdown(total=float(blocks.sum()), matrix=blocks)
@@ -331,7 +344,7 @@ def energy_and_gradient(network, ev, rule):
     points, a9 = _gauss_cloud(network, rule)
     w = ev.weights[:, None]
     terms = [(0, ev.fk, w), (1, ev.fk, w * ev.nodes)]
-    (ga,), gz = _sweep(ev, terms, points, a9, points, factor_range=ev.fk_range)
+    (ga,), gz = _sweep(ev, terms, points, a9, points, factor_range=lambda: ev.fk_range)
     energy = 0.5 * float(np.einsum("ic,ic->", a9, ga, optimize=False))
     layout = network.layout
     n = len(layout.nodes)
@@ -359,7 +372,7 @@ def pk_force(network, ev, rule):
     points, a9 = _gauss_cloud(network, rule)
     layout = network.layout
     term = (1, ev.fk, ev.weights[:, None] * ev.nodes)
-    (gz,) = _sweep(ev, [term], points, a9, layout.nodes, factor_range=ev.fk_range)
+    (gz,) = _sweep(ev, [term], points, a9, layout.nodes, factor_range=lambda: ev.fk_range)
     # G = u x z with u_l = b_a F_(al)(cd) phi'_cd, each node with its own b
     gz = gz.reshape(3, -1, 3, 3)
     G = np.einsum("mlq,ia,qial->im", ALTERNATING, layout.burgers, gz, optimize=False)
@@ -403,5 +416,5 @@ def energy_surface(surfaces, ev):
     helpers).
     """
     P, a9 = _surface_cloud(surfaces)
-    (sums,) = _sweep(ev, [(2, ev.fj, ev.weights[:, None])], P, a9, factor_range=ev.fj_range)
+    (sums,) = _sweep(ev, [(2, ev.fj, ev.weights[:, None])], P, a9, factor_range=lambda: ev.fj_range)
     return 0.5 * float(sums.sum())

@@ -3,7 +3,9 @@
 Each step minimizes the dissipation potential minus the force power over
 periodic piecewise-linear velocity fields on every loop, with the line
 constraint v.tau = 0 eliminated by expressing v in a per-node basis of
-the normal plane; all loops form one sparse SPD system.  Nodes are then
+the normal plane.  All loops form one SPD system, block tridiagonal along
+each loop with 2x2 blocks and one wrap-around coupling, which block
+cyclic reduction solves for all loops at once.  Nodes are then
 pushed forward by dt*v, the mesh is resampled when segments leave the
 target band, and loops below the annihilation length are removed.
 
@@ -13,12 +15,11 @@ Peach-Koehler density under refinement and makes the discrete energy
 decrement match the dissipated power to second order in dt.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .calibration import BOUND_CONSTANTS
 from .energy_force import energy_and_gradient
@@ -129,40 +130,126 @@ def _normal_basis(tau):
 
 def _reduced_system(network, force_density, model):
     """Reduced SPD system of the whole network: P1 gradient penalty plus
-    lumped drag in per-node normal-plane coordinates, assembled from 2x2
-    blocks (a node's own block and one pair per segment).  Returns the
-    sparse matrix, the right-hand side and the (n, 3, 2) node bases."""
+    lumped drag in per-node normal-plane coordinates.  Along each loop it
+    is block tridiagonal with one wrap-around coupling: row i holds the
+    2x2 block D_i at node i, B_i at succ[i] and B_p^T at the node p whose
+    successor is i.  Returns D and B (n, 2, 2), the right-hand side (n, 2)
+    and the (n, 3, 2) node bases."""
     layout = network.layout
     if layout.hairpin.any():
         raise SolverError(
             f"hairpin node(s) {np.flatnonzero(layout.hairpin).tolist()}: remesh before solving"
         )
-    n, succ = len(layout.nodes), layout.succ
+    succ = layout.succ
     Q = np.stack(_normal_basis(layout.tangents), axis=2)
     Qt = Q.transpose(0, 2, 1)
-    bdag = drag_matrix(model, layout.burgers, layout.tangents).pseudo_inverse
+    bdag = drag_matrix(model, layout.burgers, layout.tangents)
     # segment i -> succ[i] penalizes |Q_j u_j - Q_i u_i|^2 with weight alpha / h_i
     c = model.alpha / layout.seg_len
     stiff = c.copy()
     stiff[succ] += c
-    diag = layout.lumped[:, None, None] * (Qt @ bdag @ Q) + stiff[:, None, None] * np.eye(2)
-    off = -c[:, None, None] * (Qt @ Q[succ])
-    blocks = np.concatenate([diag, off, off.transpose(0, 2, 1)])
-    node = np.arange(n)
-    rows = 2 * np.concatenate([node, node, succ])[:, None, None] + np.array([[0, 0], [1, 1]])
-    cols = 2 * np.concatenate([node, succ, node])[:, None, None] + np.array([[0, 1], [0, 1]])
-    A = scipy.sparse.csc_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), (2 * n, 2 * n))
+    D = layout.lumped[:, None, None] * (Qt @ bdag @ Q) + stiff[:, None, None] * np.eye(2)
+    B = -c[:, None, None] * (Qt @ Q[succ])
     rhs = layout.lumped[:, None] * np.einsum("nai,na->ni", Q, force_density, optimize=False)
-    return A, rhs.ravel(), Q
+    return D, B, rhs, Q
+
+
+def _block_product(D, B, succ, u):
+    """A u for the system (D, B) of `_reduced_system`, u of shape (n, 2)."""
+    y = (D @ u[:, :, None] + B @ u[succ][:, :, None])[:, :, 0]
+    y[succ] += (B.transpose(0, 2, 1) @ u[:, :, None])[:, :, 0]
+    return y
+
+
+@functools.lru_cache(maxsize=16)
+def _reduction_levels(sizes):
+    """Index plan of block cyclic reduction on loops of the given sizes,
+    stored one after another.  Each level eliminates the nodes j at odd
+    positions of every loop (no two adjacent), each between p = j - 1 and
+    its successor s; the survivors `keep` stay in order.  ip and is_ are
+    the survivor indices of each j's p and s, and a and b give each
+    survivor the j it precedes and the j it follows, len(j) for none."""
+    sizes = np.array(sizes)
+    levels = []
+    while sizes.max() > 1:
+        start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        pos = np.arange(len(start)) - start
+        odd = pos % 2 == 1
+        j, keep = np.flatnonzero(odd), np.flatnonzero(~odd)
+        survivor = np.cumsum(~odd) - 1
+        s = np.where(pos[j] + 1 < np.repeat(sizes, sizes)[j], j + 1, start[j])
+        ip, is_ = survivor[j - 1], survivor[s]
+        a = np.full(len(keep), len(j))
+        a[ip] = np.arange(len(j))
+        b = np.full(len(keep), len(j))
+        b[is_] = np.arange(len(j))
+        levels.append((j, keep, ip, is_, a, b))
+        sizes = (sizes + 1) // 2
+    return levels
+
+
+# adj(M) = M[::-1, ::-1].T * _ADJ_SIGN for a 2x2 M, so adj(M) M = det(M) I
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _solve_2x2(M, R):
+    """M^-1 R for stacks of 2x2 M and 2-row R, from the adjugate: its
+    product with [M e_1 | R] is det(M) e_1 in the first column."""
+    adj = M[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGN
+    Z = adj @ np.concatenate((M[:, :, :1], R), axis=2)
+    return Z[:, :, 1:] / Z[:, :1, :1]
+
+
+def _cyclic_reduction(D, B, rhs, sizes):
+    """Solve the system (D, B) of `_reduced_system` on loops of the given
+    sizes by block cyclic reduction (Heller, SIAM J. Numer. Anal. 13,
+    1976): O(n) work, in as many batched levels as log2 of the largest
+    size.
+
+    Each node holds its row [D | r | B] (2 x 5).  Eliminating j, with
+    u_j = D_j^-1 (r_j - B_p^T u_p - B_j u_s), subtracts B_p D_j^-1
+    [B_p^T | r_j | B_j + D_j] from row p, which leaves it the coupling
+    -B_p D_j^-1 B_j to s, and B_j^T D_j^-1 [B_j | r_j] from [D | r] of row
+    s.  It is symmetric elimination of an SPD matrix, so the blocks stay
+    SPD and need no pivoting; a 2-cycle (p = s) takes both updates.  A
+    loop reduced to one node has the system D + B + B^T."""
+    levels = _reduction_levels(sizes)
+    M = np.concatenate((D, rhs[:, :, None], B), axis=2)
+    solved = []
+    for j, keep, ip, is_, a, b in levels:
+        e = len(j)
+        Mj = M.take(j, axis=0)
+        Dj, rj, Bj = Mj[:, :, :2], Mj[:, :, 2:3], Mj[:, :, 3:]
+        Bp = M.take(j - 1, axis=0)[:, :, 3:]
+        X = _solve_2x2(Dj, np.concatenate((Bj, rj, Bp.transpose(0, 2, 1), rj, Bj + Dj), axis=2))
+        # one zero row past the updates, for the survivors that take none
+        to_p = np.zeros((e + 1, 2, 5))
+        np.matmul(Bp, X[:, :, 3:], out=to_p[:e])
+        to_s = np.zeros((e + 1, 2, 3))
+        np.matmul(Bj.transpose(0, 2, 1), X[:, :, :3], out=to_s[:e])
+        M_next = M.take(keep, axis=0) - to_p.take(a, axis=0)
+        M_next[:, :, :3] -= to_s.take(b, axis=0)
+        solved.append(X[:, :, :5])
+        M = M_next
+    u = _solve_2x2(M[:, :, :2] + M[:, :, 3:] + M[:, :, 3:].transpose(0, 2, 1), M[:, :, 2:3])[:, :, 0]
+    for (j, keep, ip, is_, a, b), X in zip(reversed(levels), reversed(solved)):
+        # X [u_s | -1 | u_p] = D_j^-1 (B_j u_s - r_j + B_p^T u_p) = -u_j
+        y = np.concatenate((u.take(is_, axis=0), np.full((len(j), 1), -1.0), u.take(ip, axis=0)), axis=1)
+        u_prev = np.empty((len(keep) + len(j), 2))
+        u_prev[keep] = u
+        u_prev[j] = -(X @ y[:, :, None])[:, :, 0]
+        u = u_prev
+    return u
 
 
 def weak_form_residual(network, force_density, model, vf, rng, n_fields=100):
     """Residual of the assembled weak form at the computed velocity,
     normalized per loop against random reduced test fields."""
-    A, rhs, Q = _reduced_system(network, np.asarray(force_density, dtype=float), model)
-    u = np.einsum("nij,ni->nj", Q, vf.v, optimize=False).ravel()
+    D, B, rhs, Q = _reduced_system(network, np.asarray(force_density, dtype=float), model)
+    u = np.einsum("nij,ni->nj", Q, vf.v, optimize=False)
     dof_loop = np.repeat(network.layout.loop_of, 2)
-    r = A @ u - rhs
+    r = (_block_product(D, B, network.layout.succ, u) - rhs).ravel()
+    rhs = rhs.ravel()
     worst = 0.0
     for li in range(network.n_loops):
         r_loop = r[dof_loop == li]
@@ -182,18 +269,16 @@ def solve_velocity(network, force_density, model):
     if network.is_empty():
         raise SolverError("velocity solve on an empty network")
     force_density = np.asarray(force_density, dtype=float)
-    A, rhs, Q = _reduced_system(network, force_density, model)
-    try:
-        u = scipy.sparse.linalg.splu(A).solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"velocity system singular: {exc}") from exc
-    res = float(np.linalg.norm(A @ u - rhs))
+    D, B, rhs, Q = _reduced_system(network, force_density, model)
+    layout = network.layout
+    sizes = tuple(np.bincount(layout.loop_of).tolist())
+    u = _cyclic_reduction(D, B, rhs, sizes)
+    res = float(np.linalg.norm(_block_product(D, B, layout.succ, u) - rhs))
     scale = float(np.linalg.norm(rhs))
     rel = res / scale if scale > 0 else res
     if not (np.isfinite(scale) and rel <= 1e-9):
         raise SolverError(f"velocity solve residual {rel:.2e} (|rhs| {scale:.2e}) not below 1e-9")
-    layout = network.layout
-    v = np.einsum("nij,nj->ni", Q, u.reshape(-1, 2), optimize=False)
+    v = np.einsum("nij,nj->ni", Q, u, optimize=False)
     h = layout.seg_len
     dv_norm = np.linalg.norm(v[layout.succ] - v, axis=1)
     return VelocityField(

@@ -20,6 +20,8 @@ The integrand's angular bandwidth grows like |s|/eps, so the default
 decay scan builds its own equator-refined rules).
 """
 
+import functools
+
 import numpy as np
 from scipy.special import erf
 
@@ -232,24 +234,22 @@ class KernelEvaluator:
         self.weights = quadrature.weights
         self.fk = _k_factor_stack(elasticity, self.nodes)
         self.fk.setflags(write=False)
-        self.fk_range = _factor_range(self.fk)
-        self._fj_cache = None
 
-    def _j_factor(self):
-        # J is only needed by surface energies; built on first use
-        if self._fj_cache is None:
-            fj = _j_factor_stack(self.elasticity, self.nodes)
-            fj.setflags(write=False)
-            self._fj_cache = fj, _factor_range(fj)
-        return self._fj_cache
+    # built on first use: J only by surface energies, the ranges only by
+    # densities that span more channels than the factor's rank
+    @functools.cached_property
+    def fk_range(self):
+        return _factor_range(self.fk)
 
-    @property
+    @functools.cached_property
     def fj(self):
-        return self._j_factor()[0]
+        fj = _j_factor_stack(self.elasticity, self.nodes)
+        fj.setflags(write=False)
+        return fj
 
-    @property
+    @functools.cached_property
     def fj_range(self):
-        return self._j_factor()[1]
+        return _factor_range(self.fj)
 
     @property
     def epsilon(self):

@@ -1,11 +1,11 @@
 """Dissipation model: gradient penalty and drag matrices.
 
-The drag matrices define the convex velocity potential
-psi(b, tau, v) = 1/2 v.Bdag(b,tau) v on the constraint plane v.tau = 0
-(+inf off it) and its Legendre-Fenchel conjugate
-psi*(b, tau, f) = 1/2 f.B(b,tau) f, so v = B f is the force-velocity
-relation.  B maps force density to velocity, so the drag parameters
-below are mobilities.
+The drag matrix Bdag(b, tau) defines the convex velocity potential
+psi(b, tau, v) = 1/2 v.Bdag v on the constraint plane v.tau = 0 (+inf
+off it).  Its Legendre-Fenchel conjugate is psi*(b, tau, f) = 1/2 f.B f
+with the mobility B, Bdag's pseudo-inverse on the normal plane, so
+v = B f is the force-velocity relation.  B maps force density to
+velocity, so the drag parameters below are mobilities.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ __all__ = [
     "IsotropicDrag",
     "BccDrag",
     "MobilityModel",
-    "DragMatrix",
     "drag_matrix",
 ]
 
@@ -72,14 +71,6 @@ class MobilityModel:
         return 1.0 / (2.0 * max(d.B_eg, d.B_ec, d.B_s))
 
 
-class DragMatrix:
-    """Symmetric PSD mobility matrix with tangent kernel, plus pseudo-inverse."""
-
-    def __init__(self, matrix, pseudo_inverse):
-        self.matrix = matrix
-        self.pseudo_inverse = pseudo_inverse
-
-
 def _projector(tau):
     return np.eye(3) - tau[..., :, None] * tau[..., None, :]
 
@@ -92,15 +83,16 @@ def _check_unit(tau):
 
 
 def _bcc_drag(drag, b, tau, P, screw_tol):
-    """BCC mobility matrix and its pseudo-inverse from the normal-plane
-    eigensystem.
+    """BCC drag matrix, the pseudo-inverse of the mobility matrix, from
+    the normal-plane eigensystem.
 
     Away from screw orientation the two eigenvectors are the projected
     Burgers direction (glide) and b x tau (climb).  Both terms of the
     closed form degenerate as b x tau -> 0; below the screw tolerance the
-    matrix is replaced by its direction-averaged limit (B_s |b.tau|/|b|^2
-    times the normal-plane projector), with a linear blend over
-    [tol, 2 tol] to keep tau -> B continuous.
+    mobility is replaced by its direction-averaged limit (B_s |b.tau|/|b|^2
+    times the normal-plane projector), and the drag by its inverse on that
+    plane, with a linear blend of the mobility's eigenvalues over
+    [tol, 2 tol] to keep tau -> Bdag continuous.
     """
     bn = np.linalg.norm(b, axis=-1)
     cross = np.cross(b, tau)
@@ -120,19 +112,16 @@ def _bcc_drag(drag, b, tau, P, screw_tol):
     uu = u[..., :, None] * u[..., None, :]
     ww = w[..., :, None] * w[..., None, :]
     limit = np.where(screw, screw_limit, 1.0)[..., None, None]
-    screw = screw[..., None, None]
-    B = np.where(screw, limit * P, cg * uu + cc * ww)
-    Bdag = np.where(screw, P / limit, uu / cg + ww / cc)
-    return B, Bdag
+    return np.where(screw[..., None, None], P / limit, uu / cg + ww / cc)
 
 
 def drag_matrix(model, b, tau):
-    """Mobility matrix B(b, tau) and its Moore-Penrose pseudo-inverse.
+    """Drag matrix Bdag(b, tau): the Moore-Penrose pseudo-inverse of the
+    mobility matrix B(b, tau).
 
     tau is one unit tangent (3,) or a stack (n, 3), b one Burgers vector
-    or one per tangent; the matrices are (3, 3) or (n, 3, 3).  Both
-    annihilate the tangent; the pseudo-inverse inverts the nonzero
-    eigenvalues on the normal plane.
+    or one per tangent; the matrix is (3, 3) or (n, 3, 3).  It annihilates
+    the tangent and is positive definite on the normal plane.
     """
     tau = _check_unit(tau)
     b = np.broadcast_to(np.asarray(b, dtype=float), tau.shape)
@@ -140,6 +129,5 @@ def drag_matrix(model, b, tau):
         raise ValueError("Burgers vector must be nonzero")
     P = _projector(tau)
     if isinstance(model.drag, IsotropicDrag):
-        m = model.drag.m
-        return DragMatrix(P / m, m * P)
-    return DragMatrix(*_bcc_drag(model.drag, b, tau, P, model.screw_tolerance))
+        return model.drag.m * P
+    return _bcc_drag(model.drag, b, tau, P, model.screw_tolerance)

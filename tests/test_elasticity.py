@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -58,12 +55,6 @@ def test_lh_estimate_detects_violation():
     # lambda = -3, mu = 1 violates lambda + 2 mu > 0 at v parallel to k
     bad = EL.ElasticityTensor(lame_components(-3.0, 1.0))
     assert EL.estimate_lh_constant(bad) < 0.0
-
-
-def test_import_leaves_out_scipy_stats():
-    code = "import sys, dddflow; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def isotropic_acoustic_inverse(lam, mu, z):

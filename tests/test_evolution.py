@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dddflow import mobility as MB
 from dddflow import cli, netio
 from dddflow import shapes as SH
 from dddflow.errors import SolverError
+from mobility_reference import drag_pair
 
 MODEL = MB.MobilityModel(alpha=1.0, drag=MB.IsotropicDrag(m=1.0))
 
@@ -141,13 +144,53 @@ def test_network_solve_matches_dense_reference_bcc_near_screw(lat, rng):
     assert (sin < tol).sum() >= 8 and ((sin >= tol) & (sin <= 2 * tol)).sum() >= 8
     _assert_matches_dense_reference(net, model, rng)
     # the batched drag matrices equal per-tangent calls and the first closed form
-    D = MB.drag_matrix(model, b, tau)
+    D = drag_pair(model, b, tau)
     for i in range(net.n_nodes):
-        one = MB.drag_matrix(model, b[i], tau[i])
+        one = drag_pair(model, b[i], tau[i])
         assert np.array_equal(D.matrix[i], one.matrix)
         assert np.array_equal(D.pseudo_inverse[i], one.pseudo_inverse)
         ref = _pseudo_inverse_reference(model, b[i], tau[i])
         assert np.abs(one.pseudo_inverse - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _odd_and_even_loops(lat, burgers):
+    """Loops of 3 to 33 nodes, side by side: odd and even cycles, and
+    sizes whose reduction passes through odd cycles and 2-cycles."""
+    sizes = (3, 4, 5, 7, 8, 9, 17, 33)
+    loops = [
+        SH.ellipse_loop(lat, 1.0, 0.6, n, burgers=b, center=(3.0 * k, 0.2 * k, 0.1 * k))
+        for k, (n, b) in enumerate(zip(sizes, burgers))
+    ]
+    return GE.DislocationNetwork(lat, loops, 0.1)
+
+
+def test_odd_and_even_loops_match_dense_reference(lat, rng):
+    net = _odd_and_even_loops(lat, [(0, 0, 1)] * 8)
+    assert sorted(len(lp) for lp in net.loops) == [3, 4, 5, 7, 8, 9, 17, 33]
+    _assert_matches_dense_reference(net, MB.MobilityModel(alpha=0.7, drag=MB.IsotropicDrag(m=1.3)), rng)
+    burgers = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, -1, 0)]
+    bcc = MB.MobilityModel(alpha=0.5, drag=MB.BccDrag(B_eg=4.0, B_ec=1.0, B_s=2.0))
+    _assert_matches_dense_reference(_odd_and_even_loops(lat, burgers), bcc, rng)
+
+
+def test_large_loop_residual_and_constraint(lat, rng):
+    net = SH.single_loop_network(SH.circle_loop(lat, 2048 * 0.05 / (2 * math.pi), 2048), 0.1)
+    vf = EV.solve_velocity(net, rng.normal(size=(2048, 3)), MODEL)
+    assert vf.residual <= 1e-12
+    assert np.abs((vf.v * vf.tangents).sum(axis=1)).max() <= 1e-14 * np.abs(vf.v).max()
+
+
+def test_import_and_solve_leave_out_scipy_linalg_and_stats():
+    code = (
+        "import sys, numpy as np, dddflow\n"
+        "from dddflow import mobility as MB, shapes as SH\n"
+        "net = SH.single_loop_network(SH.circle_loop(SH.cubic_lattice(), 1.0, 32), 0.1)\n"
+        "model = MB.MobilityModel(alpha=1.0, drag=MB.IsotropicDrag(m=1.0))\n"
+        "dddflow.solve_velocity(net, np.ones((32, 3)), model)\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_non_finite_force_raises(lat):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from dddflow import elasticity as EL
+from dddflow import energy_force as EF
+from dddflow import geometry as GE
 from dddflow import kernels as KN
+from dddflow import shapes as SH
 from dddflow.calibration import N_PHI
 from dddflow.elasticity import ALTERNATING
 from dddflow.errors import NearSingularError, NotIsotropicError
@@ -120,6 +123,20 @@ def _random_stiffness(rng):
     S = rng.normal(size=(4, 3, 3))
     S = S + S.transpose(0, 2, 1)
     return EL.ElasticityTensor(EL.make_isotropic(1.0, 1.0).c + 0.3 * np.einsum("kij,klm->ijlm", S, S))
+
+
+def test_factor_range_built_only_for_wide_densities(iso11, rule4, rng):
+    lat = SH.cubic_lattice()
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.25), KN.SphericalQuadrature.product_rule(8, 16))
+    single = SH.single_loop_network(SH.circle_loop(lat, 1.0, 16), 0.25)
+    EF.energy_and_gradient(single, ev, rule4)
+    assert "fk_range" not in ev.__dict__
+    loops = [
+        SH.random_loop(lat, rng, n_nodes=8, scale=0.5, burgers=b, center=(1.5 * k, 0.0, 0.0))
+        for k, b in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    ]
+    EF.energy_and_gradient(GE.DislocationNetwork(lat, loops, 0.25), ev, rule4)
+    assert ev.fk_range.shape[2] == 5 and "fk_range" in ev.__dict__
 
 
 def test_factor_ranges_orthonormal_and_rebuild_factors(iso11, rng):
