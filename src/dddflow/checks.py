@@ -235,7 +235,7 @@ def check_gradient_flow(overrides=None):
 
     def record(_istep, st):
         if not st.network.is_empty():
-            nodes = st.network.all_nodes()
+            nodes = st.network.layout.nodes
             radii.append(float(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1).mean()))
 
     policy = EV.StepPolicy(t_end=1e9, dt_max=0.5, snapshot_every=1)

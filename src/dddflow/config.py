@@ -209,6 +209,9 @@ def loads_config(text):
     data["annihilation_kappa"] = _positive(
         raw.get("annihilation_kappa", _DEFAULTS["annihilation_kappa"]), "annihilation_kappa"
     )
+    # a surviving loop must be long enough to remesh
+    if data["annihilation_kappa"] < 3.0 * r["h_min"]:
+        raise ConfigError("'annihilation_kappa' must be at least 3 * 'remesh.h_min'")
     out = dict(_DEFAULTS["output"])
     out_in = raw.get("output", {})
     _require_keys(out_in, set(out), "output.")

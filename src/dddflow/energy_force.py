@@ -70,13 +70,13 @@ class ForceField:
 def _gauss_cloud(network, rule):
     """Gauss points of the network and their weighted b (x) e densities:
     rule point k on node i's segment is point k * n_nodes + i."""
-    if network.oversized_segments():
+    layout = network.layout
+    if (layout.seg_len > network.epsilon).any():
         warnings.warn(
             "segments longer than epsilon: the kernel varies on the core "
             "scale and the line quadrature may be under-resolved",
             stacklevel=3,
         )
-    layout = network.layout
     seg = layout.segments
     points = (layout.nodes + rule.points[:, None, None] * seg).reshape(-1, 3)
     e = rule.weights[:, None, None] * seg
@@ -242,41 +242,38 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_r
     into as few equal chunks as CHUNK_BUDGET allows, added in index order;
     their count follows from the network's extent and size only.
 
-    factor_range, if given, returns the bases V (n_sphere, 9, q) of the
-    range of every term's F at each node, which is symmetric: F = V V^T F
-    = F V V^T.  The densities are then correlated in q channels per node
-    where their own basis has more.  q is at least F's rank at the first
-    node, so the range is built only for densities that span more
-    channels than that."""
+    factor_range, if given, returns None or the bases V (n_sphere, 9, q)
+    of the range of every term's F at each node, which is symmetric:
+    F = V V^T F = F V V^T.  The densities are then correlated in q
+    channels per node where their own basis has more.  q is at least F's
+    rank at the first node, so the range is built only for densities that
+    span more channels than that."""
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
-    # single loop): their coordinates in that basis are shared by all nodes
+    # single loop): each node P[k] (9, r) holds that basis, or the range of
+    # its factor where that is narrower
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
-    V = None
+    n_sphere = len(ev.weights)
+    P = np.broadcast_to(basis.T, (n_sphere,) + basis.T.shape)
     if factor_range is not None:
         lam = np.abs(np.linalg.eigvalsh(terms[0][1][0]))
         if len(basis) > np.count_nonzero(lam > 1e-13 * lam.max()):
             V = factor_range()
-    by_range = V is not None and V.shape[2] < len(basis)
-    if by_range:
-        left, right = np.swapaxes(V, 1, 2), V
-    else:
-        left, right = basis, basis.T
-        coords = src_a @ basis.T
-        if src_group is not None:
-            coords = _group_slots(coords, src_group, n_groups)
-    r = right.shape[-1]
+            if V is not None and V.shape[2] < len(basis):
+                P = V
+    r = P.shape[2]
+    Pt = np.swapaxes(P, 1, 2)
     # each F projected and weighted, once per call: a chunk's sums are then
     # one product over its nodes and channels together
     if dst is None:
         factors = [
-            ((left @ F @ right)[..., None] * W[:, None, None]).reshape(len(W), r * r, -1)
+            ((Pt @ F @ P)[..., None] * W[:, None, None]).reshape(len(W), r * r, -1)
             for _, F, W in terms
         ]
         sums = [np.zeros((n_groups, n_groups, W.shape[1])) for _, _, W in terms]
     else:
         factors = [
-            ((left @ F)[:, :, None] * W[:, None, :, None]).reshape(len(W), r, -1)
+            ((Pt @ F)[:, :, None] * W[:, None, :, None]).reshape(len(W), r, -1)
             for _, F, W in terms
         ]
         sums = [np.zeros((len(dst), W.shape[1], F.shape[2])) for _, F, W in terms]
@@ -292,17 +289,13 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_r
         n_groups * r * (grid + min(grid, KERNEL_HALF)),
         (12 + n_groups * r) * n_points,
     )
-    n_sphere = len(ev.weights)
     n_chunks = int(np.ceil(n_sphere / max(1, CHUNK_BUDGET // per_node)))
     for nodes in np.array_split(np.arange(n_sphere), n_chunks):
         lo, hi = nodes[0], nodes[-1] + 1
         ts = ev.nodes[lo:hi] @ src.T
-        if by_range:
-            a = src_a @ V[lo:hi]
-            if src_group is not None:
-                a = _group_slots(a, src_group, n_groups)
-        else:
-            a = np.broadcast_to(coords, (hi - lo,) + coords.shape)
+        a = src_a @ P[lo:hi]
+        if src_group is not None:
+            a = _group_slots(a, src_group, n_groups)
         if dst is None:
             corr = [
                 c.reshape(hi - lo, n_groups, r, n_groups, r).transpose(1, 3, 0, 2, 4)

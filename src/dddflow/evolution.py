@@ -384,9 +384,9 @@ def step(state, dt, ev, model, rule, policy, precomputed=None):
     state.time += dt
     # mesh maintenance
     survivors = []
-    for li, lp in enumerate(moved.loops):
-        if lp.total_length() < policy.kappa * eps:
-            state.log_event("annihilation", loop=li, length=lp.total_length())
+    for li, (lp, length) in enumerate(zip(moved.loops, moved.layout.loop_length)):
+        if length < policy.kappa * eps:
+            state.log_event("annihilation", loop=li, length=float(length))
         else:
             survivors.append(lp)
     moved = moved.with_loops(survivors)

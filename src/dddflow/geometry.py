@@ -2,8 +2,10 @@
 
 A network is a finite union of closed loops, each with a constant
 lattice-valued Burgers vector, so the boundary-of-slip constraint holds
-by construction.  All values are immutable; operations return new
-networks.
+by construction.  A loop holds only its nodes and Burgers vector; the
+network's NodeLayout holds all of their geometry (segments, lengths,
+tangents, loop lengths) as per-node arrays, which every operation reads.
+All values are immutable; operations return new networks.
 """
 
 import fractions
@@ -139,60 +141,42 @@ class Loop:
     def __len__(self):
         return len(self.nodes)
 
-    def segment_vectors(self):
-        return np.roll(self.nodes, -1, axis=0) - self.nodes
-
-    def segment_lengths(self):
-        return np.linalg.norm(self.segment_vectors(), axis=1)
-
-    def total_length(self):
-        return float(self.segment_lengths().sum())
-
-    def node_tangents(self):
-        """Unit tangent per node: normalized mean of adjacent segment tangents.
-
-        Hairpin nodes (adjacent tangents antiparallel) fall back to the
-        outgoing segment tangent and are flagged.
-        """
-        seg = self.segment_vectors()
-        unit = seg / np.linalg.norm(seg, axis=1)[:, None]
-        prev = np.roll(unit, 1, axis=0)
-        s = unit + prev
-        norms = np.linalg.norm(s, axis=1)
-        hairpin = norms < 1e-8
-        safe = np.where(hairpin[:, None], unit, s)
-        tangents = safe / np.linalg.norm(safe, axis=1)[:, None]
-        return tangents, hairpin
-
-    def lumped_lengths(self):
-        """Half the sum of the two segment lengths adjacent to each node."""
-        lengths = self.segment_lengths()
-        return 0.5 * (lengths + np.roll(lengths, 1))
-
 
 class NodeLayout:
     """Per-node arrays of a network's loops, concatenated in loop order and
-    built once from the loops' own methods; every array is read-only.
+    computed in one vectorized pass; every array is read-only.
 
-    Segment i runs from node i to node succ[i] of the same loop, loop_of[i].
+    Loop l holds nodes start[l]:start[l + 1] (start ends with the node
+    count).  Segment i runs from node i to node succ[i] of the same loop,
+    loop_of[i], and pred inverts succ.  lumped is half the sum of a node's
+    two adjacent segment lengths, and loop_length sums each loop's segment
+    lengths over its own slice.  A node's tangent normalizes the sum of
+    its two adjacent unit segment tangents; where they are antiparallel (a
+    hairpin, flagged) it falls back to the outgoing one.
     """
 
     def __init__(self, loops):
         sizes = np.array([len(lp) for lp in loops], dtype=np.int64)
+        self.start = np.concatenate([[0], np.cumsum(sizes)])
         self.loop_of = np.repeat(np.arange(len(loops)), sizes)
-        first = (np.cumsum(sizes) - sizes)[self.loop_of]
-        self.succ = first + (np.arange(len(self.loop_of)) - first + 1) % sizes[self.loop_of]
-        tangents = [lp.node_tangents() for lp in loops]
+        first, size = self.start[self.loop_of], sizes[self.loop_of]
+        pos = np.arange(len(self.loop_of)) - first
+        self.succ = first + (pos + 1) % size
+        self.pred = first + (pos - 1) % size
         # a leading empty block keeps shape and dtype for a network without loops
         self.nodes = np.concatenate([np.zeros((0, 3))] + [lp.nodes for lp in loops])
-        self.segments = np.concatenate([np.zeros((0, 3))] + [lp.segment_vectors() for lp in loops])
-        self.seg_len = np.concatenate([np.zeros(0)] + [lp.segment_lengths() for lp in loops])
-        self.lumped = np.concatenate([np.zeros(0)] + [lp.lumped_lengths() for lp in loops])
-        self.tangents = np.concatenate([np.zeros((0, 3))] + [t for t, _ in tangents])
-        self.hairpin = np.concatenate([np.zeros(0, dtype=bool)] + [h for _, h in tangents])
-        self.burgers = np.concatenate(
-            [np.zeros((0, 3))] + [np.tile(lp.burgers.cartesian, (len(lp), 1)) for lp in loops]
+        self.segments = self.nodes[self.succ] - self.nodes
+        self.seg_len = np.linalg.norm(self.segments, axis=1)
+        self.lumped = 0.5 * (self.seg_len + self.seg_len[self.pred])
+        self.loop_length = np.array(
+            [self.seg_len[a:b].sum() for a, b in zip(self.start[:-1], self.start[1:])], dtype=float
         )
+        unit = self.segments / self.seg_len[:, None]
+        both = unit + unit[self.pred]
+        self.hairpin = np.linalg.norm(both, axis=1) < 1e-8
+        safe = np.where(self.hairpin[:, None], unit, both)
+        self.tangents = safe / np.linalg.norm(safe, axis=1)[:, None]
+        self.burgers = np.reshape([lp.burgers.cartesian for lp in loops], (-1, 3))[self.loop_of]
         for array in vars(self).values():
             array.setflags(write=False)
 
@@ -227,17 +211,6 @@ class DislocationNetwork:
         """The network's NodeLayout, built on first use."""
         return NodeLayout(self.loops)
 
-    def all_nodes(self):
-        return self.layout.nodes
-
-    def oversized_segments(self):
-        """Advisory: (loop index, segment index) pairs longer than epsilon."""
-        flags = []
-        for li, lp in enumerate(self.loops):
-            for si in np.nonzero(lp.segment_lengths() > self.epsilon)[0]:
-                flags.append((li, int(si)))
-        return flags
-
     def with_loops(self, loops):
         return DislocationNetwork(self.lattice, loops, self.epsilon)
 
@@ -249,7 +222,8 @@ class DislocationNetwork:
 
 def mass(network):
     """Total dislocation length weighted by the Burgers vector norm."""
-    return float(sum(lp.burgers.norm * lp.total_length() for lp in network.loops))
+    lengths = network.layout.loop_length
+    return float(sum(lp.burgers.norm * length for lp, length in zip(network.loops, lengths)))
 
 
 def _prefix_mass(k, seg_mass):
@@ -380,25 +354,22 @@ def pushforward(network, displacement):
         raise GeometryError(
             f"displacement shape {displacement.shape} != ({network.n_nodes}, 3)"
         )
+    moved = network.layout.nodes + displacement
+    start = network.layout.start
     new_loops = []
-    off = 0
-    for lp in network.loops:
-        n = len(lp)
-        moved = lp.nodes + displacement[off : off + n]
-        off += n
+    for lp, a, b in zip(network.loops, start[:-1], start[1:]):
         try:
-            new_loops.append(Loop(moved, lp.burgers))
+            new_loops.append(Loop(moved[a:b], lp.burgers))
         except GeometryError as exc:
             raise GeometryError(f"pushforward degenerates a loop: {exc}") from exc
     return network.with_loops(new_loops)
 
 
-def _resample_closed(nodes, n_new):
-    """n_new points uniformly by arc length along the closed polyline."""
+def _resample_closed(nodes, seg_len, n_new):
+    """n_new points uniformly by arc length along the closed polyline with
+    the given segment lengths."""
     closed = np.vstack([nodes, nodes[:1]])
-    seg = np.diff(closed, axis=0)
-    ln = np.linalg.norm(seg, axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(ln)])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = cum[-1]
     targets = np.arange(n_new) * total / n_new
     out = np.empty((n_new, 3))
@@ -417,13 +388,15 @@ def remesh(network, h_min, h_max):
     """
     if not 0 < h_min < h_max:
         raise GeometryError("need 0 < h_min < h_max")
+    layout = network.layout
+    outside = (layout.seg_len < h_min) | (layout.seg_len > h_max)
+    resample = np.bincount(layout.loop_of[outside], minlength=network.n_loops) > 0
     new_loops = []
     for li, lp in enumerate(network.loops):
-        lengths = lp.segment_lengths()
-        if lengths.min() >= h_min and lengths.max() <= h_max:
+        if not resample[li]:
             new_loops.append(lp)
             continue
-        total = lp.total_length()
+        total = layout.loop_length[li]
         if total < 3.0 * h_min:
             raise GeometryError(
                 f"loop {li} too short to remesh: length {total:.3e} < 3*h_min"
@@ -432,7 +405,8 @@ def remesh(network, h_min, h_max):
         n_hi = int(np.floor(total / min(1.02 * h_min, 0.99 * h_max)))
         n = int(round(total / np.sqrt(h_min * h_max)))
         n = min(max(n, n_lo), max(n_hi, n_lo))
-        resampled = _resample_closed(lp.nodes, n)
+        lengths = layout.seg_len[layout.start[li] : layout.start[li + 1]]
+        resampled = _resample_closed(lp.nodes, lengths, n)
         new_loops.append(Loop(resampled, lp.burgers))
     return network.with_loops(new_loops)
 
@@ -476,6 +450,13 @@ class SpanningSurface:
         return SpanningSurface(parts, self.slip)
 
 
+def _fan(loop, apex):
+    """Triangles (apex, node k, node k + 1) over every segment of the loop."""
+    nodes = loop.nodes
+    tris = np.stack([np.broadcast_to(apex, nodes.shape), nodes, np.roll(nodes, -1, axis=0)], axis=1)
+    return SpanningSurface(tris, loop.burgers)
+
+
 def make_planar_surface(loop, planarity_tol=1e-8):
     """Fan triangulation about the centroid of a planar star-shaped loop."""
     nodes = loop.nodes
@@ -492,22 +473,12 @@ def make_planar_surface(loop, planarity_tol=1e-8):
     heights = np.cross(rel, np.roll(rel, -1, axis=0)) @ normal
     if heights.min() <= 0.0:
         raise GeometryError("loop is not star-shaped about its centroid")
-    tris = np.stack(
-        [np.broadcast_to(centroid, nodes.shape), nodes, np.roll(nodes, -1, axis=0)],
-        axis=1,
-    )
-    return SpanningSurface(tris, loop.burgers)
+    return _fan(loop, centroid)
 
 
 def make_cone_surface(loop, apex):
     """Fan triangulation from an apex point not touching the loop."""
     apex = np.asarray(apex, dtype=float)
-    nodes = loop.nodes
-    d_nodes = np.linalg.norm(nodes - apex[None, :], axis=1)
-    if d_nodes.min() < 1e-12:
+    if np.linalg.norm(loop.nodes - apex, axis=1).min() < 1e-12:
         raise GeometryError("apex coincides with a loop node")
-    tris = np.stack(
-        [np.broadcast_to(apex, nodes.shape), nodes, np.roll(nodes, -1, axis=0)],
-        axis=1,
-    )
-    return SpanningSurface(tris, loop.burgers)
+    return _fan(loop, apex)

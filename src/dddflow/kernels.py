@@ -28,6 +28,7 @@ from scipy.special import erf
 from .elasticity import ALTERNATING, _dinv_stack
 from .errors import NotIsotropicError
 from .calibration import N_PHI
+from .geometry import UNIT_COMBINATIONS
 
 __all__ = [
     "MollifierProfile",
@@ -297,19 +298,6 @@ class DecayCheckReport:
         )
 
 
-def _scan_directions():
-    """The 26 nonzero lattice directions in {-1,0,1}^3, normalized."""
-    dirs = []
-    for ix in (-1, 0, 1):
-        for iy in (-1, 0, 1):
-            for iz in (-1, 0, 1):
-                if ix == iy == iz == 0:
-                    continue
-                v = np.array([ix, iy, iz], dtype=float)
-                dirs.append(v / np.linalg.norm(v))
-    return np.array(dirs)
-
-
 def _tangential_frame(d):
     R = _rotation_to(d)
     return R[:, 0], R[:, 1]
@@ -332,7 +320,7 @@ def decay_bound_scan(ev, m, j, n_radii=40, r_min_eps=1e-2, r_max_eps=1e3, seed=0
     best_ratio = 0.0
     worst_loc = np.zeros(3)
     by_radius = np.zeros(len(radii))
-    for d in _scan_directions():
+    for d in UNIT_COMBINATIONS / np.linalg.norm(UNIT_COMBINATIONS, axis=1)[:, None]:
         e1, e2 = _tangential_frame(d)
         th = rng.uniform(0.0, 2.0 * np.pi, size=max(j, 1))
         tangentials = [np.cos(a) * e1 + np.sin(a) * e2 for a in th[:j]]

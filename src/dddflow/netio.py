@@ -82,7 +82,7 @@ def diagnostics_csv(rows):
 
 def forces_csv(network, field):
     lines = ["node,x,y,z,fx,fy,fz,lumped_length"]
-    nodes = network.all_nodes()
+    nodes = network.layout.nodes
     for i in range(len(nodes)):
         vals = list(nodes[i]) + list(field.density[i]) + [field.lumped[i]]
         lines.append(str(i) + "," + ",".join(repr(float(v)) for v in vals))
@@ -165,7 +165,7 @@ def render_svg(network, plane="xy", path=None, size=640):
     if plane not in _PLANES:
         raise ValueError(f"plane must be one of {sorted(_PLANES)}")
     ix, iy = _PLANES[plane]
-    pts = network.all_nodes()[:, [ix, iy]]
+    pts = network.layout.nodes[:, [ix, iy]]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = max(float((hi - lo).max()), network.epsilon)

@@ -1,9 +1,30 @@
-"""Reference geometry that only the tests read: a reversed loop, the
-boundary of a triangulated surface, and its midpoint refinement."""
+"""Reference geometry that only the tests read: one loop's geometry
+computed on its own, a reversed loop, the boundary of a triangulated
+surface, and its midpoint refinement."""
 
 import numpy as np
 
 from dddflow import geometry as GE
+
+
+def loop_geometry(loop):
+    """One loop's per-node geometry from np.roll of its own nodes: segment
+    vectors and lengths, lumped lengths, tangents with hairpin flags, and
+    the total length."""
+    seg = np.roll(loop.nodes, -1, axis=0) - loop.nodes
+    lengths = np.linalg.norm(seg, axis=1)
+    unit = seg / lengths[:, None]
+    both = unit + np.roll(unit, 1, axis=0)
+    hairpin = np.linalg.norm(both, axis=1) < 1e-8
+    safe = np.where(hairpin[:, None], unit, both)
+    return {
+        "segments": seg,
+        "seg_len": lengths,
+        "lumped": 0.5 * (lengths + np.roll(lengths, 1)),
+        "tangents": safe / np.linalg.norm(safe, axis=1)[:, None],
+        "hairpin": hairpin,
+        "total": lengths.sum(),
+    }
 
 
 def reversed_loop(loop):

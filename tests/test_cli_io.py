@@ -44,6 +44,8 @@ def test_minimal_config_fills_defaults():
         ('{"epsilon": 0.1, "quadrature": {"sphere_polar": 3}}', "quadrature.sphere_polar"),
         ('{"epsilon": 0.1, "quadrature": {"sphere_azimuthal": 2}}', "quadrature.sphere_azimuthal"),
         ('{"epsilon": 0.1, "quadrature": {"line_order": 0}}', "quadrature.line_order"),
+        # a loop that escapes annihilation would be too short to remesh
+        ('{"epsilon": 0.1, "annihilation_kappa": 0.5}', "annihilation_kappa.*remesh.h_min"),
     ],
 )
 def test_config_errors_name_the_key(text, needle):

@@ -132,7 +132,7 @@ def test_line_engine_matches_kernel_pair_sums(case):
     assert rel(EF.energy_line(net, ev, RULE).matrix, blocks) <= TOL
 
     # G_m(s) = sum_g A_mlq b_a a_g,cd dK_alcd/ds_q (x_s - x_g)
-    xn = net.all_nodes()
+    xn = net.layout.nodes
     bvec = np.concatenate([np.tile(lp.burgers.cartesian, (len(lp), 1)) for lp in net.loops])
     ds = (xn[:, None, :] - points[None, :, :]).reshape(-1, 3)
     dK = np.stack([KN.sphere_sum(ev, ds, 1, directions=[e]) for e in np.eye(3)], axis=-1)

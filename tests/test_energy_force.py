@@ -350,11 +350,10 @@ def test_force_bound_scale_covariance(lat, rule4):
 
 def test_force_bound_zero_field(lat):
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 16), 0.1)
-    lumped = net.loops[0].lumped_lengths()
-    taus, _ = net.loops[0].node_tangents()
+    layout = net.layout
     field = EF.ForceField(
-        density=np.zeros((16, 3)), lumped=lumped, G=np.zeros((16, 3)),
-        tangents=taus, hairpin=np.zeros(16, bool),
+        density=np.zeros((16, 3)), lumped=layout.lumped, G=np.zeros((16, 3)),
+        tangents=layout.tangents, hairpin=np.zeros(16, bool),
     )
     assert force_bound_ratios(net, field) == {"pk_linf": 0.0, "pk_l2": 0.0}
 

@@ -34,8 +34,7 @@ def rule2():
 
 def _force_density(net, ev, rule):
     _, grad = EF.energy_and_gradient(net, ev, rule)
-    lumped = np.concatenate([lp.lumped_lengths() for lp in net.loops])
-    return -grad / lumped[:, None]
+    return -grad / net.layout.lumped[:, None]
 
 
 def test_zero_force_gives_zero_velocity(lat):
@@ -86,8 +85,8 @@ def _dense_velocity_reference(net, f, model):
     vs, off = [], 0
     for lp in net.loops:
         n = len(lp)
-        tau, _ = lp.node_tangents()
-        h, lumped, b = lp.segment_lengths(), lp.lumped_lengths(), lp.burgers.cartesian
+        layout = GE.DislocationNetwork(net.lattice, [lp], net.epsilon).layout
+        tau, h, lumped, b = layout.tangents, layout.seg_len, layout.lumped, lp.burgers.cartesian
         Q = np.stack(EV._normal_basis(tau), axis=2)
         A, rhs = np.zeros((2 * n, 2 * n)), np.zeros(2 * n)
         for i in range(n):
@@ -318,7 +317,7 @@ def test_mesh_independence_of_radius_history(lat, ev01, rule2):
 
         def cb(istep, st, t=t, rs=rs):
             if not st.network.is_empty():
-                nodes = st.network.all_nodes()
+                nodes = st.network.layout.nodes
                 t.append(st.time)
                 rs.append(float(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1).mean()))
 

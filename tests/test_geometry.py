@@ -9,7 +9,7 @@ from dddflow import geometry as GE
 from dddflow import netio
 from dddflow import shapes as SH
 from dddflow.errors import ConfigError, GeometryError
-from geometry_reference import boundary_edges, midpoint_refined, reversed_loop
+from geometry_reference import boundary_edges, loop_geometry, midpoint_refined, reversed_loop
 
 
 def _clip_lengths(starts, vecs, seg_len, centers, radii):
@@ -345,7 +345,8 @@ def test_remesh_conforming_fixed_point(lat):
     out = GE.remesh(GE.DislocationNetwork(lat, [lp, coarse], 0.1), 0.05, 0.12)
     # the same object, next to a resampled loop: callers tell them apart by identity
     assert out.loops[0] is lp
-    assert out.loops[1] is not coarse and out.loops[1].segment_lengths().max() <= 0.12
+    assert out.loops[1] is not coarse
+    assert out.layout.seg_len[out.layout.loop_of == 1].max() <= 0.12
 
 
 def test_remesh_octagon(lat):
@@ -354,7 +355,7 @@ def test_remesh_octagon(lat):
     out = GE.remesh(net, 0.25, 0.5)
     assert len(out.loops[0]) >= 63
     assert GE.mass(out) == pytest.approx(GE.mass(net), rel=5e-3)
-    lengths = out.loops[0].segment_lengths()
+    lengths = out.layout.seg_len
     assert lengths.min() >= 0.25 - 1e-9 and lengths.max() <= 0.5 + 1e-9
     again = GE.remesh(out, 0.25, 0.5)
     assert np.abs(again.loops[0].nodes - out.loops[0].nodes).max() <= 1e-10
@@ -432,17 +433,59 @@ def test_surface_boundary_matches_loop(lat, refine):
 
 def test_node_tangents_and_hairpin(lat):
     lp = SH.circle_loop(lat, 1.0, 32)
-    tau, hairpin = lp.node_tangents()
-    assert not hairpin.any()
+    layout = GE.DislocationNetwork(lat, [lp], 0.1).layout
+    tau = layout.tangents
+    assert not layout.hairpin.any()
     assert np.allclose(np.linalg.norm(tau, axis=1), 1.0)
     assert np.abs((tau * lp.nodes).sum(axis=1)).max() < 1e-12  # tangent to the circle
-    b = GE.BurgersVector(lat, (1, 0, 0))
-    spike = GE.Loop(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [1, 1e-14 + 1, 0]]), b)
-    # fold-back loop: node 2 reverses direction
+    fold = GE.DislocationNetwork(lat, [_fold_back_loop(lat)], 0.1).layout
+    assert fold.hairpin.any()
+
+
+def _fold_back_loop(lat):
+    """Four nodes whose path reverses direction at node 2 (a hairpin)."""
     nodes = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [0.5, 1e-9, 0]])
-    lp2 = GE.Loop(nodes, b)
-    _, flags = lp2.node_tangents()
-    assert flags.any()
+    return GE.Loop(nodes, GE.BurgersVector(lat, (1, 0, 0)))
+
+
+def test_layout_matches_per_loop_geometry(lat, rng):
+    loops = [
+        SH.random_loop(lat, rng, n_nodes=3, burgers=(0, 1, 0)),
+        _fold_back_loop(lat),
+        SH.random_loop(lat, rng, n_nodes=5, burgers=(1, 1, 0), center=(3.0, 0.0, 0.0)),
+        SH.random_loop(lat, rng, n_nodes=7, burgers=(0, 0, 1), center=(0.0, 3.0, 1.0)),
+        SH.circle_loop(lat, 1.3, 33, burgers=(1, -1, 2), center=(-2.0, 0.5, 0.0)),
+    ]
+    layout = GE.DislocationNetwork(lat, loops, 0.1).layout
+    refs = [loop_geometry(lp) for lp in loops]
+    assert layout.hairpin.any()
+    for name in ("segments", "seg_len", "lumped", "tangents", "hairpin"):
+        assert np.array_equal(getattr(layout, name), np.concatenate([r[name] for r in refs]))
+    assert np.array_equal(layout.loop_length, [r["total"] for r in refs])
+    sizes = [len(lp) for lp in loops]
+    start = np.cumsum([0] + sizes)
+    assert np.array_equal(layout.start, start)
+    assert np.array_equal(layout.loop_of, np.repeat(np.arange(5), sizes))
+    assert np.array_equal(layout.nodes, np.concatenate([lp.nodes for lp in loops]))
+    assert np.array_equal(
+        layout.burgers, np.concatenate([np.tile(lp.burgers.cartesian, (len(lp), 1)) for lp in loops])
+    )
+    index = [np.arange(a, b) for a, b in zip(start[:-1], start[1:])]
+    assert np.array_equal(layout.succ, np.concatenate([np.roll(i, -1) for i in index]))
+    assert np.array_equal(layout.pred, np.concatenate([np.roll(i, 1) for i in index]))
+    assert all(not array.flags.writeable for array in vars(layout).values())
+
+
+def test_empty_layout_shapes(lat):
+    layout = GE.DislocationNetwork(lat, [], 0.1).layout
+    for name in ("nodes", "segments", "tangents", "burgers"):
+        assert getattr(layout, name).shape == (0, 3) and getattr(layout, name).dtype == float
+    for name in ("seg_len", "lumped", "loop_length"):
+        assert getattr(layout, name).shape == (0,) and getattr(layout, name).dtype == float
+    for name in ("succ", "pred", "loop_of"):
+        assert getattr(layout, name).shape == (0,) and getattr(layout, name).dtype == np.int64
+    assert layout.hairpin.shape == (0,) and layout.hairpin.dtype == bool
+    assert np.array_equal(layout.start, [0]) and layout.start.dtype == np.int64
 
 
 @settings(max_examples=25, deadline=None)
@@ -457,7 +500,7 @@ def test_mass_positive_property(radius, n_nodes):
 def test_oversized_segment_advisory(lat):
     lp = SH.circle_loop(lat, 1.0, 8)  # h ~ 0.77
     net = GE.DislocationNetwork(lat, [lp], 0.1)
-    flags = net.oversized_segments()
-    assert len(flags) == 8 and flags[0] == (0, 0)
+    flags = np.flatnonzero(net.layout.seg_len > net.epsilon)
+    assert len(flags) == 8 and flags[0] == 0
     fine = GE.DislocationNetwork(lat, [SH.circle_loop(lat, 1.0, 80)], 0.1)
-    assert fine.oversized_segments() == []
+    assert not (fine.layout.seg_len > fine.epsilon).any()
