@@ -31,11 +31,11 @@ class CheckResult:
     seconds: float
 
 
-def _evaluator(eps=1.0, n_polar=24, n_azimuthal=48, overrides=None, lam=1.0, mu=1.0):
+def _evaluator(eps=1.0, n_polar=24, n_azimuthal=48, overrides=None):
     overrides = overrides or {}
     n_polar = overrides.get("sphere_polar", n_polar)
     n_azimuthal = overrides.get("sphere_azimuthal", n_azimuthal)
-    C = EL.make_isotropic(lam, mu)
+    C = EL.make_isotropic(1.0, 1.0)
     rule = KN.SphericalQuadrature.product_rule(n_polar, n_azimuthal)
     ev = KN.KernelEvaluator(C, KN.MollifierProfile(eps), rule)
     scale = overrides.get("nphi_scale", 1.0)
@@ -191,7 +191,7 @@ def check_velocity_solve(overrides=None):
     rng = np.random.default_rng(4)
     f = rng.normal(size=(net.n_nodes, 3))
     vf = EV.solve_velocity(net, f, model)
-    resid = EV.weak_form_residual(net, f, model, vf, rng, n_fields=100)
+    resid = EV.weak_form_residual(net, f, model, vf, rng)
     vdott = np.abs((vf.v * vf.tangents).sum(axis=1)).max()
     v0 = EV.solve_velocity(net, np.zeros((net.n_nodes, 3)), model)
     zero_ok = float(np.abs(v0.v).max()) == 0.0
@@ -202,11 +202,11 @@ def check_velocity_solve(overrides=None):
     )
 
 
-def _shrink_setup(overrides=None, n_nodes=128):
+def _shrink_setup(overrides=None):
     eps = 0.1
     ev = _evaluator(eps=eps, n_polar=16, n_azimuthal=32, overrides=overrides)
     lat = SH.cubic_lattice()
-    net = SH.single_loop_network(SH.circle_loop(lat, 10 * eps, n_nodes), eps)
+    net = SH.single_loop_network(SH.circle_loop(lat, 10 * eps, 128), eps)
     model = MB.MobilityModel(alpha=1.0, drag=MB.IsotropicDrag(m=1.0))
     rule = EF.LineQuadratureRule(2)
     policy = EV.StepPolicy(t_end=1e9, dt_max=0.5)

@@ -18,8 +18,8 @@ __all__ = ["SimulationConfig", "load_config", "loads_config"]
 
 _DEFAULTS = {
     "epsilon": None,  # required
-    "elasticity": {"isotropic": {"lambda": 1.0, "mu": 1.0}},
-    "mobility": {"alpha": 1.0, "isotropic": {"m": 1.0}},
+    "elasticity": {"isotropic": {}},
+    "mobility": {"isotropic": {}},
     "quadrature": {
         "sphere_polar": 24,
         "sphere_azimuthal": 48,
@@ -33,10 +33,16 @@ _DEFAULTS = {
 }
 
 
-def _require_keys(data, allowed, path):
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}{key!r}")
+def _section(given, defaults, path):
+    """The given keys of one config section over its defaults.  The section
+    must be a JSON object holding only keys that `defaults` has; `path`
+    names it in errors ("" for the whole config)."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{repr(path) if path else 'config'} must be a JSON object")
+    for key in given:
+        if key not in defaults:
+            raise ConfigError(f"unknown key {path + '.' if path else ''}{key!r}")
+    return {**defaults, **given}
 
 
 def _finite_number(value):
@@ -118,15 +124,14 @@ class SimulationConfig:
         return json.dumps(self.data, indent=2, sort_keys=True)
 
 
-def _validate_elasticity(block):
-    _require_keys(block, {"isotropic", "full"}, "elasticity.")
-    if ("isotropic" in block) == ("full" in block):
+def _validate_elasticity(given):
+    block = _section(given, {"isotropic": None, "full": None}, "elasticity")
+    if (block["isotropic"] is None) == (block["full"] is None):
         raise ConfigError("'elasticity' needs exactly one of 'isotropic' or 'full'")
-    if "isotropic" in block:
-        iso = block["isotropic"]
-        _require_keys(iso, {"lambda", "mu"}, "elasticity.isotropic.")
-        lam = iso.get("lambda", 1.0)
-        mu = _positive(iso.get("mu", 1.0), "elasticity.isotropic.mu")
+    if block["isotropic"] is not None:
+        iso = _section(block["isotropic"], {"lambda": 1.0, "mu": 1.0}, "elasticity.isotropic")
+        lam = iso["lambda"]
+        mu = _positive(iso["mu"], "elasticity.isotropic.mu")
         if not _finite_number(lam):
             raise ConfigError("'elasticity.isotropic.lambda' must be a finite number")
         if not lam + 2 * mu > 0:
@@ -138,42 +143,31 @@ def _validate_elasticity(block):
     return {"full": [float(v) for v in full]}
 
 
-def _validate_mobility(block):
-    _require_keys(block, {"alpha", "isotropic", "bcc"}, "mobility.")
-    if ("isotropic" in block) == ("bcc" in block):
+def _validate_mobility(given):
+    block = _section(given, {"alpha": 1.0, "isotropic": None, "bcc": None}, "mobility")
+    if (block["isotropic"] is None) == (block["bcc"] is None):
         raise ConfigError("'mobility' needs exactly one of 'isotropic' or 'bcc'")
-    alpha = _positive(block.get("alpha", 1.0), "mobility.alpha")
-    if "isotropic" in block:
-        iso = block["isotropic"]
-        _require_keys(iso, {"m"}, "mobility.isotropic.")
-        return {"alpha": alpha, "isotropic": {"m": _positive(iso.get("m", 1.0), "mobility.isotropic.m")}}
-    bcc = block["bcc"]
-    _require_keys(bcc, {"B_eg", "B_ec", "B_s"}, "mobility.bcc.")
-    return {
-        "alpha": alpha,
-        "bcc": {k: _positive(bcc.get(k, 1.0), f"mobility.bcc.{k}") for k in ("B_eg", "B_ec", "B_s")},
-    }
+    alpha = _positive(block["alpha"], "mobility.alpha")
+    if block["isotropic"] is not None:
+        iso = _section(block["isotropic"], {"m": 1.0}, "mobility.isotropic")
+        return {"alpha": alpha, "isotropic": {"m": _positive(iso["m"], "mobility.isotropic.m")}}
+    bcc = _section(block["bcc"], {"B_eg": 1.0, "B_ec": 1.0, "B_s": 1.0}, "mobility.bcc")
+    return {"alpha": alpha, "bcc": {k: _positive(v, f"mobility.bcc.{k}") for k, v in bcc.items()}}
 
 
 def loads_config(text):
     try:
-        raw = json.loads(text)
+        given = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(raw, set(_DEFAULTS), "")
-    if "epsilon" not in raw:
+    raw = _section(given, _DEFAULTS, "")
+    if "epsilon" not in given:
         raise ConfigError("missing required key 'epsilon'")
     data = {"epsilon": _positive(raw["epsilon"], "epsilon")}
+    data["elasticity"] = _validate_elasticity(raw["elasticity"])
+    data["mobility"] = _validate_mobility(raw["mobility"])
 
-    data["elasticity"] = _validate_elasticity(raw.get("elasticity", _DEFAULTS["elasticity"]))
-    data["mobility"] = _validate_mobility(raw.get("mobility", _DEFAULTS["mobility"]))
-
-    q = dict(_DEFAULTS["quadrature"])
-    q_in = raw.get("quadrature", {})
-    _require_keys(q_in, set(q), "quadrature.")
-    q.update(q_in)
+    q = _section(raw["quadrature"], _DEFAULTS["quadrature"], "quadrature")
     # the rule constructors state the order conditions
     for key, build in (
         ("sphere_polar", lambda n: kernels.SphericalQuadrature.product_rule(n_polar=n)),
@@ -187,37 +181,21 @@ def loads_config(text):
             raise ConfigError(f"'quadrature.{key}': {exc}") from exc
     data["quadrature"] = q
 
-    s = dict(_DEFAULTS["stepping"])
-    s_in = raw.get("stepping", {})
-    _require_keys(s_in, set(s), "stepping.")
-    s.update(s_in)
-    for key in ("c1", "c2", "dt_max", "dt_min", "t_end"):
-        s[key] = _positive(s[key], f"stepping.{key}")
-    data["stepping"] = s
-
-    r = dict(_DEFAULTS["remesh"])
-    r_in = raw.get("remesh", {})
-    _require_keys(r_in, set(r), "remesh.")
-    r.update(r_in)
-    r["h_min"] = _positive(r["h_min"], "remesh.h_min")
-    r["h_max"] = _positive(r["h_max"], "remesh.h_max")
+    s = _section(raw["stepping"], _DEFAULTS["stepping"], "stepping")
+    data["stepping"] = {key: _positive(v, f"stepping.{key}") for key, v in s.items()}
+    r = _section(raw["remesh"], _DEFAULTS["remesh"], "remesh")
+    r = {key: _positive(v, f"remesh.{key}") for key, v in r.items()}
     if not r["h_min"] < r["h_max"]:
         raise ConfigError("'remesh.h_min' must be smaller than 'remesh.h_max'")
     data["remesh"] = r
 
-    data["theta_max"] = _positive(raw.get("theta_max", _DEFAULTS["theta_max"]), "theta_max")
-    data["annihilation_kappa"] = _positive(
-        raw.get("annihilation_kappa", _DEFAULTS["annihilation_kappa"]), "annihilation_kappa"
-    )
+    data["theta_max"] = _positive(raw["theta_max"], "theta_max")
+    data["annihilation_kappa"] = _positive(raw["annihilation_kappa"], "annihilation_kappa")
     # a surviving loop must be long enough to remesh
     if data["annihilation_kappa"] < 3.0 * r["h_min"]:
         raise ConfigError("'annihilation_kappa' must be at least 3 * 'remesh.h_min'")
-    out = dict(_DEFAULTS["output"])
-    out_in = raw.get("output", {})
-    _require_keys(out_in, set(out), "output.")
-    out.update(out_in)
-    out["every"] = _nonneg_int(out["every"], "output.every") or 1
-    data["output"] = out
+    out = _section(raw["output"], _DEFAULTS["output"], "output")
+    data["output"] = {"every": _nonneg_int(out["every"], "output.every") or 1}
     return SimulationConfig(data)
 
 

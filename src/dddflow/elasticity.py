@@ -58,14 +58,14 @@ class ElasticityTensor:
     def max_abs(self):
         return float(np.abs(self.c).max())
 
-    def is_isotropic(self, tol=1e-12):
+    def is_isotropic(self):
         """True if the tensor equals the Lame form built from its own
         C_1122 and C_1212 entries."""
         lam = self.c[0, 0, 1, 1]
         mu = self.c[0, 1, 0, 1]
         ref = _lame(lam, mu)
         scale = max(self.max_abs(), 1.0)
-        return bool(np.abs(self.c - ref).max() <= tol * scale)
+        return bool(np.abs(self.c - ref).max() <= 1e-12 * scale)
 
     def lame_parameters(self):
         return float(self.c[0, 0, 1, 1]), float(self.c[0, 1, 0, 1])

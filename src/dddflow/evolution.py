@@ -242,9 +242,9 @@ def _cyclic_reduction(D, B, rhs, sizes):
     return u
 
 
-def weak_form_residual(network, force_density, model, vf, rng, n_fields=100):
+def weak_form_residual(network, force_density, model, vf, rng):
     """Residual of the assembled weak form at the computed velocity,
-    normalized per loop against random reduced test fields."""
+    normalized per loop against 100 random reduced test fields."""
     D, B, rhs, Q = _reduced_system(network, np.asarray(force_density, dtype=float), model)
     u = np.einsum("nij,ni->nj", Q, vf.v, optimize=False)
     dof_loop = np.repeat(network.layout.loop_of, 2)
@@ -254,7 +254,7 @@ def weak_form_residual(network, force_density, model, vf, rng, n_fields=100):
     for li in range(network.n_loops):
         r_loop = r[dof_loop == li]
         scale = max(float(np.linalg.norm(rhs[dof_loop == li])), 1e-300)
-        w = rng.normal(size=(n_fields, len(r_loop)))
+        w = rng.normal(size=(100, len(r_loop)))
         worst = max(worst, float((np.abs(w @ r_loop) / (np.linalg.norm(w, axis=1) * scale)).max()))
     return worst
 
@@ -383,15 +383,14 @@ def step(state, dt, ev, model, rule, policy, precomputed=None):
     moved = pushforward(net, dt * vf.v)
     state.time += dt
     # mesh maintenance
-    survivors = []
-    for li, (lp, length) in enumerate(zip(moved.loops, moved.layout.loop_length)):
-        if length < policy.kappa * eps:
-            state.log_event("annihilation", loop=li, length=float(length))
-        else:
-            survivors.append(lp)
-    moved = moved.with_loops(survivors)
+    lengths = moved.layout.loop_length
+    short = lengths < policy.kappa * eps
+    for li in np.flatnonzero(short):
+        state.log_event("annihilation", loop=int(li), length=float(lengths[li]))
+    if short.any():
+        moved = moved.with_loops([lp for lp, gone in zip(moved.loops, short) if not gone])
     state.network = remesh(moved, policy.h_min * eps, policy.h_max * eps)
-    if any(new is not old for new, old in zip(state.network.loops, moved.loops)):
+    if state.network is not moved:
         state.log_event("remesh", mass_before=mass(moved), mass_after=mass(state.network))
     if state.network.is_empty():
         state.termination = "annihilated"

@@ -101,8 +101,9 @@ class SphericalQuadrature:
         return cls(*_azimuthal_product(x, w, n_azimuthal))
 
     @classmethod
-    def equator_refined(cls, axis, u_core, n_azimuthal=32, order=12):
-        """Panelled rule with nodes concentrated where |z.axis| <= u_core.
+    def equator_refined(cls, axis, u_core):
+        """Panelled rule with nodes concentrated where |z.axis| <= u_core:
+        12 Gauss points per panel in z.axis, 32 azimuths.
 
         Used for far-field kernel arguments, where the integrand is a
         ridge of angular half-width ~ eps/|s| around the great circle
@@ -112,14 +113,14 @@ class SphericalQuadrature:
         edges = [0.0, u_core]
         while edges[-1] < 1.0:
             edges.append(min(2.0 * edges[-1], 1.0))
-        gx, gw = np.polynomial.legendre.leggauss(order)
+        gx, gw = np.polynomial.legendre.leggauss(12)
         us, ws = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
             us.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * gx)
             ws.append(0.5 * (hi - lo) * gw)
         u = np.concatenate(us)
         w = 2.0 * np.concatenate(ws)  # doubled: u<0 half folded in
-        nodes, weights = _azimuthal_product(u, w, n_azimuthal)
+        nodes, weights = _azimuthal_product(u, w, 32)
         R = _rotation_to(axis)
         return cls(nodes @ R.T, weights)
 
@@ -303,10 +304,10 @@ def _tangential_frame(d):
     return R[:, 0], R[:, 1]
 
 
-def decay_bound_scan(ev, m, j, n_radii=40, r_min_eps=1e-2, r_max_eps=1e3, seed=0):
+def decay_bound_scan(ev, m, j, n_radii=40):
     """Scan |D^m K(s)[v_1..v_j, s_hat..s_hat]| over the far field.
 
-    Uses log-spaced radii over [r_min_eps, r_max_eps] * eps along 26
+    Uses log-spaced radii over [1e-2, 1e3] * eps along 26
     directions, with j random tangential unit vectors per direction, and
     equator-refined quadratures so the angular ridge stays resolved at
     every radius.  Reports the supremum of the decay-bound ratio and the
@@ -315,8 +316,8 @@ def decay_bound_scan(ev, m, j, n_radii=40, r_min_eps=1e-2, r_max_eps=1e3, seed=0
     if m not in (0, 1, 2) or not 0 <= j <= m:
         raise ValueError("need m in {0,1,2} and 0 <= j <= m")
     eps = ev.epsilon
-    rng = np.random.default_rng(seed)
-    radii = np.geomspace(r_min_eps * eps, r_max_eps * eps, n_radii)
+    rng = np.random.default_rng(0)
+    radii = np.geomspace(1e-2 * eps, 1e3 * eps, n_radii)
     best_ratio = 0.0
     worst_loc = np.zeros(3)
     by_radius = np.zeros(len(radii))
@@ -432,15 +433,7 @@ def _radial_panels(eps, rmax):
     return np.array(edges)
 
 
-def eval_K_direct(
-    C,
-    profile,
-    s,
-    n_polar=16,
-    n_azimuthal=32,
-    radial_order=8,
-    checkpoints=(32.0, 64.0, 128.0, 256.0),
-):
+def eval_K_direct(C, profile, s):
     """Brute-force real-space evaluation of K(s) for isotropic stiffness.
 
     Quadratures the defining convolution of two mollified-Green's-function
@@ -455,12 +448,13 @@ def eval_K_direct(
     eps = profile.epsilon
     s = np.asarray(s, dtype=float)
     center = 0.5 * s
-    angular = SphericalQuadrature.product_rule(n_polar, n_azimuthal, hemisphere=False)
+    angular = SphericalQuadrature.product_rule(16, 32, hemisphere=False)
+    checkpoints = (32.0, 64.0, 128.0, 256.0)
     edges = _radial_panels(eps, checkpoints[-1] * eps)
     for cp in checkpoints:
         if not np.any(np.isclose(edges, cp * eps)):
             edges = np.sort(np.append(edges, cp * eps))
-    gx, gw = np.polynomial.legendre.leggauss(radial_order)
+    gx, gw = np.polynomial.legendre.leggauss(8)
     c99 = C.c.reshape(9, 9)
     acc = np.zeros(81)
     partials = {}

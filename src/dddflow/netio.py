@@ -67,8 +67,12 @@ def save_network(network, path):
 
 
 def load_network(path):
-    with open(path) as fh:
-        return network_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read network {path}: {exc}") from exc
+    return network_from_dict(data)
 
 
 def diagnostics_csv(rows):
@@ -157,14 +161,15 @@ def _burgers_color(coords):
     return f"#{h[0]:02x}{h[1]:02x}{h[2]:02x}"
 
 
-def render_svg(network, plane="xy", path=None, size=640):
+def render_svg(network, plane="xy", path=None):
     """Orthographic projection of the loops, colored by Burgers vector,
-    with an epsilon-length scale bar."""
+    with an epsilon-length scale bar, on a 640-pixel square."""
     if network.is_empty():
         raise GeometryError("cannot render an empty network")
     if plane not in _PLANES:
         raise ValueError(f"plane must be one of {sorted(_PLANES)}")
     ix, iy = _PLANES[plane]
+    size = 640
     pts = network.layout.nodes[:, [ix, iy]]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

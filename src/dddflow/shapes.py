@@ -18,13 +18,12 @@ def cubic_lattice():
     return Lattice(np.eye(3))
 
 
-def circle_loop(lattice, radius, n_nodes, burgers=(0, 0, 1), center=(0.0, 0.0, 0.0), plane="xy"):
-    """Regular n-gon inscribed in a circle; prismatic by default (b normal
-    to the loop plane)."""
+def circle_loop(lattice, radius, n_nodes, burgers=(0, 0, 1), center=(0.0, 0.0, 0.0)):
+    """Regular n-gon inscribed in a circle in the xy plane; prismatic by
+    default (b normal to the loop plane)."""
     th = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    flat = np.stack([radius * np.cos(th), radius * np.sin(th), np.zeros(n_nodes)], axis=1)
-    nodes = _orient(flat, plane) + np.asarray(center, dtype=float)
-    return Loop(nodes, BurgersVector(lattice, burgers))
+    nodes = np.stack([radius * np.cos(th), radius * np.sin(th), np.zeros(n_nodes)], axis=1)
+    return Loop(nodes + np.asarray(center, dtype=float), BurgersVector(lattice, burgers))
 
 
 def ellipse_loop(lattice, a, b, n_nodes, burgers=(0, 0, 1), center=(0.0, 0.0, 0.0)):
@@ -52,16 +51,6 @@ def random_loop(lattice, rng, n_nodes=12, scale=1.0, burgers=(1, 0, 0), center=(
     z = 0.2 * scale * np.sin(2 * th + rng.uniform(0, 2 * np.pi))
     nodes = np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
     return Loop(nodes + np.asarray(center, dtype=float), BurgersVector(lattice, burgers))
-
-
-def _orient(nodes_xy, plane):
-    if plane == "xy":
-        return nodes_xy
-    if plane == "xz":
-        return nodes_xy[:, [0, 2, 1]] * np.array([1.0, 1.0, 1.0])
-    if plane == "yz":
-        return nodes_xy[:, [2, 0, 1]]
-    raise ValueError(f"unknown plane {plane!r}")
 
 
 def single_loop_network(loop, epsilon):

@@ -46,6 +46,11 @@ def test_minimal_config_fills_defaults():
         ('{"epsilon": 0.1, "quadrature": {"line_order": 0}}', "quadrature.line_order"),
         # a loop that escapes annihilation would be too short to remesh
         ('{"epsilon": 0.1, "annihilation_kappa": 0.5}', "annihilation_kappa.*remesh.h_min"),
+        # a section that is not a JSON object
+        ('{"epsilon": 0.1, "stepping": 5}', "'stepping' must be a JSON object"),
+        ('{"epsilon": 0.1, "output": null}', "'output' must be a JSON object"),
+        ('{"epsilon": 0.1, "mobility": {"isotropic": 3}}', "'mobility.isotropic' must be a JSON object"),
+        ('{"epsilon": 0.1, "quadrature": "ab"}', "'quadrature' must be a JSON object"),
     ],
 )
 def test_config_errors_name_the_key(text, needle):
@@ -277,6 +282,10 @@ def test_cli_exit_codes(lat, tmp_path):
         bad.write_text('{"epsilon": 0.1, "quadrature": ' + quadrature + "}")
         assert cli.main(["energy", "--input", str(netpath), "--config", str(bad)]) == 2
     assert cli.main(["energy", "--input", str(netpath), "--config", str(tmp_path / "nope.json")]) == 2
+    # config: a network file that is missing or not JSON
+    assert cli.main(["energy", "--input", str(tmp_path / "nope.json"), "--config", str(cfgpath)]) == 2
+    bad.write_text("not json")
+    assert cli.main(["energy", "--input", str(bad), "--config", str(cfgpath)]) == 2
     # numerical: a valid network file without loops
     empty = tmp_path / "empty.json"
     netio.save_network(GE.DislocationNetwork(lat, [], 0.1), empty)

@@ -354,13 +354,24 @@ def test_bound_monitor(lat, ev01, rule2):
         EV.bound_monitor([])
 
 
-def test_in_band_steps_advance_state_in_place_without_remesh(lat, ev01, rule2):
+def test_in_band_steps_advance_state_in_place_without_remesh(lat, ev01, rule2, monkeypatch):
     # 80 nodes keep segments inside the default band, so no remesh occurs
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 80), 0.1)
+    net.layout  # built before counting
     state = EV.EvolutionState(time=0.0, network=net)
     policy = EV.StepPolicy()
+    builds = []
+    real_init = GE.NodeLayout.__init__
+
+    def counted(self, loops):
+        builds.append(1)
+        real_init(self, loops)
+
+    monkeypatch.setattr(GE.NodeLayout, "__init__", counted)
     assert EV.step(state, 0.01, ev01, MODEL, rule2, policy) is state
     assert EV.step(state, 0.01, ev01, MODEL, rule2, policy) is state
+    # the pushed-forward network is the next state: one layout per step
+    assert len(builds) == 2
     assert len(state.diagnostics) == 2 and state.time == 0.01 + 0.01
     assert not any(e["kind"] == "remesh" for e in state.events)
     assert len(state.network.loops[0]) == 80

@@ -347,6 +347,9 @@ def test_remesh_conforming_fixed_point(lat):
     assert out.loops[0] is lp
     assert out.loops[1] is not coarse
     assert out.layout.seg_len[out.layout.loop_of == 1].max() <= 0.12
+    # with nothing to resample the network itself comes back
+    net = GE.DislocationNetwork(lat, [lp], 0.1)
+    assert GE.remesh(net, 0.05, 0.12) is net
 
 
 def test_remesh_octagon(lat):
