@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: simulate, energy, force, kernel-table, check, render.
-Exit codes: 0 ok, 1 usage, 2 config, 3 numerical failure, 4 blow-up
-termination (simulate with --fail-on-blowup).
+Exit codes: 0 ok, 1 usage, 2 config or unwritable output, 3 numerical
+failure, 4 blow-up termination (simulate with --fail-on-blowup).
 """
 
 import argparse
@@ -83,11 +83,11 @@ def _write(text, dest):
 def _cmd_simulate(args):
     cfg = load_config(args.config)
     net = netio.load_network(args.input)
-    os.makedirs(args.out_dir, exist_ok=True)
     ev = cfg.kernel_evaluator()
     model = cfg.mobility_model()
     rule = cfg.line_rule()
     policy = cfg.step_policy()
+    os.makedirs(args.out_dir, exist_ok=True)
 
     def snapshot(istep, state):
         if state.network.is_empty():
@@ -198,6 +198,9 @@ def main(argv=None):
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # inputs are read as ConfigError: this is an output
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DDDError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

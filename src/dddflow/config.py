@@ -5,6 +5,7 @@ violation names the offending key.  `dump` emits the canonical form with
 all defaults filled in, and load(dump(load(x))) is the identity.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -55,9 +56,9 @@ def _positive(value, key):
     return float(value)
 
 
-def _nonneg_int(value, key):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"{key!r} must be a nonnegative integer, got {value!r}")
+def _int_at_least(value, key, least):
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{key!r} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -74,15 +75,7 @@ class SimulationConfig:
         if "isotropic" in block:
             iso = block["isotropic"]
             return elasticity.make_isotropic(iso["lambda"], iso["mu"])
-        C = elasticity.from_components(block["full"])
-        if not elasticity.validate_symmetries(C):
-            raise ConfigError("'elasticity.full' violates the stiffness symmetries")
-        if C.lh_constant <= 0:
-            raise ConfigError(
-                f"'elasticity.full' violates the Legendre-Hadamard condition "
-                f"(estimated constant {C.lh_constant:.3g} <= 0)"
-            )
-        return C
+        return _full_tensor(tuple(block["full"]))
 
     def mobility_model(self):
         block = self.data["mobility"]
@@ -124,6 +117,21 @@ class SimulationConfig:
         return json.dumps(self.data, indent=2, sort_keys=True)
 
 
+@functools.lru_cache(maxsize=8)
+def _full_tensor(values):
+    """The validated stiffness of 'elasticity.full': loads_config and every
+    evaluator share it, so the Legendre-Hadamard estimate runs once."""
+    C = elasticity.from_components(values)
+    if not elasticity.validate_symmetries(C):
+        raise ConfigError("'elasticity.full' violates the stiffness symmetries")
+    if C.lh_constant <= 0:
+        raise ConfigError(
+            f"'elasticity.full' violates the Legendre-Hadamard condition "
+            f"(estimated constant {C.lh_constant:.3g} <= 0)"
+        )
+    return C
+
+
 def _validate_elasticity(given):
     block = _section(given, {"isotropic": None, "full": None}, "elasticity")
     if (block["isotropic"] is None) == (block["full"] is None):
@@ -140,7 +148,9 @@ def _validate_elasticity(given):
     full = block["full"]
     if not isinstance(full, list) or len(full) != 81 or not all(map(_finite_number, full)):
         raise ConfigError("'elasticity.full' must be a list of 81 finite numbers")
-    return {"full": [float(v) for v in full]}
+    full = [float(v) for v in full]
+    _full_tensor(tuple(full))
+    return {"full": full}
 
 
 def _validate_mobility(given):
@@ -174,7 +184,7 @@ def loads_config(text):
         ("sphere_azimuthal", lambda n: kernels.SphericalQuadrature.product_rule(n_azimuthal=n)),
         ("line_order", LineQuadratureRule),
     ):
-        q[key] = _nonneg_int(q[key], f"quadrature.{key}")
+        q[key] = _int_at_least(q[key], f"quadrature.{key}", 0)
         try:
             build(q[key])
         except ValueError as exc:
@@ -195,7 +205,7 @@ def loads_config(text):
     if data["annihilation_kappa"] < 3.0 * r["h_min"]:
         raise ConfigError("'annihilation_kappa' must be at least 3 * 'remesh.h_min'")
     out = _section(raw["output"], _DEFAULTS["output"], "output")
-    data["output"] = {"every": _nonneg_int(out["every"], "output.every") or 1}
+    data["output"] = {"every": _int_at_least(out["every"], "output.every", 1)}
     return SimulationConfig(data)
 
 

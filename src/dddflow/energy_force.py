@@ -182,7 +182,7 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     that cut.  Without targets the gather is the deposit transposed, so
     the sums are rho^H K rho over the spectrum (Parseval): no inverse FFT.
     """
-    eps = ev.profile.epsilon
+    eps = ev.epsilon
     dx = GRID_STEP * eps
     zc, n_chan = len(src_t), src_a.shape[2]
     lo, hi = src_t.min(axis=1), src_t.max(axis=1)
@@ -227,57 +227,46 @@ def _group_slots(coords, group, n_groups):
     return slots.reshape(coords.shape[:-1] + (-1,))
 
 
-def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_range=None):
+def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
     """Weighted sphere sums of the correlations of the densities src_a at
-    the points src, one array per term (order, F, W): F is a per-node
-    factor (n_sphere, 9, m) and W holds per-node weights (n_sphere, p).
+    the points src against one kernel: F is its per-node factor
+    (n_sphere, 9, m), and V is None or the bases (n_sphere, 9, q) of the
+    ranges of a symmetric F: F = V V^T F = F V V^T.  Each term (order, W)
+    holds per-node weights W (n_sphere, p) and gives one array.
 
     With targets dst a term gives the (p, n_dst, m) sums
     sum_k W[k] (x) corr_k @ F[k], where corr_k[i, c] correlates channel c
     with eta^(order) along sphere node k at dst[i].  Without them the
     sources are the targets, F is 9 x 9, and a term gives the
     (p, n_groups, n_groups) sums sum_k W[k] (x) sum src_a[i, d] F[k, d, c]
-    corr_k[i, c] over the sources i of group m = src_group[i] and the
-    correlation of group n's densities only.  The sphere nodes are split
-    into as few equal chunks as CHUNK_BUDGET allows, added in index order;
-    their count follows from the network's extent and size only.
-
-    factor_range, if given, returns None or the bases V (n_sphere, 9, q)
-    of the range of every term's F at each node, which is symmetric:
-    F = V V^T F = F V V^T.  The densities are then correlated in q
-    channels per node where their own basis has more.  q is at least F's
-    rank at the first node, so the range is built only for densities that
-    span more channels than that."""
+    corr_k[i, c] over the sources i of group m = group[i] and the
+    correlation of group n's densities only, with n_groups = group.max()
+    + 1 (one group without labels).  The sphere nodes are split into as
+    few equal chunks as CHUNK_BUDGET allows, added in index order; their
+    count follows from the network's extent and size only."""
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
     # single loop): each node P[k] (9, r) holds that basis, or the range of
     # its factor where that is narrower
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
     n_sphere = len(ev.weights)
-    P = np.broadcast_to(basis.T, (n_sphere,) + basis.T.shape)
-    if factor_range is not None:
-        lam = np.abs(np.linalg.eigvalsh(terms[0][1][0]))
-        if len(basis) > np.count_nonzero(lam > 1e-13 * lam.max()):
-            V = factor_range()
-            if V is not None and V.shape[2] < len(basis):
-                P = V
-    r = P.shape[2]
-    Pt = np.swapaxes(P, 1, 2)
-    # each F projected and weighted, once per call: a chunk's sums are then
-    # one product over its nodes and channels together
-    if dst is None:
-        factors = [
-            ((Pt @ F @ P)[..., None] * W[:, None, None]).reshape(len(W), r * r, -1)
-            for _, F, W in terms
-        ]
-        sums = [np.zeros((n_groups, n_groups, W.shape[1])) for _, _, W in terms]
+    if V is not None and V.shape[2] < len(basis):
+        P = V
     else:
-        factors = [
-            ((Pt @ F)[:, :, None] * W[:, None, :, None]).reshape(len(W), r, -1)
-            for _, F, W in terms
-        ]
-        sums = [np.zeros((len(dst), W.shape[1], F.shape[2])) for _, F, W in terms]
-    orders = [order for order, _, _ in terms]
+        P = np.broadcast_to(basis.T, (n_sphere,) + basis.T.shape)
+    r = P.shape[2]
+    n_groups = 1 if group is None else int(group.max()) + 1
+    # F projected once per call and weighted per term: a chunk's sums are
+    # then one product over its nodes and channels together
+    if dst is None:
+        PtFP = (np.swapaxes(P, 1, 2) @ F @ P)[..., None]
+        factors = [(PtFP * W[:, None, None]).reshape(len(W), r * r, -1) for _, W in terms]
+        sums = [np.zeros((n_groups, n_groups, W.shape[1])) for _, W in terms]
+    else:
+        PtF = (np.swapaxes(P, 1, 2) @ F)[:, :, None]
+        factors = [(PtF * W[:, None, :, None]).reshape(len(W), r, -1) for _, W in terms]
+        sums = [np.zeros((len(dst), W.shape[1], F.shape[2])) for _, W in terms]
+    orders = [order for order, _ in terms]
     # the cloud's diameter bounds its extent along every z, so that the
     # projections are made per chunk: all of them at once held 24 MB for
     # the slip energy of two 2592-point disks on the 24x48 rule
@@ -294,8 +283,8 @@ def _sweep(ev, terms, src, src_a, dst=None, src_group=None, n_groups=1, factor_r
         lo, hi = nodes[0], nodes[-1] + 1
         ts = ev.nodes[lo:hi] @ src.T
         a = src_a @ P[lo:hi]
-        if src_group is not None:
-            a = _group_slots(a, src_group, n_groups)
+        if group is not None:
+            a = _group_slots(a, group, n_groups)
         if dst is None:
             corr = [
                 c.reshape(hi - lo, n_groups, r, n_groups, r).transpose(1, 3, 0, 2, 4)
@@ -316,16 +305,7 @@ def energy_line(network, ev, rule):
         raise GeometryError("energy of an empty network")
     points, a9 = _gauss_cloud(network, rule)
     loop_of = np.tile(network.layout.loop_of, rule.order)
-    term = (0, ev.fk, ev.weights[:, None])
-    (sums,) = _sweep(
-        ev,
-        [term],
-        points,
-        a9,
-        src_group=loop_of,
-        n_groups=network.n_loops,
-        factor_range=lambda: ev.fk_range,
-    )
+    (sums,) = _sweep(ev, ev.fk, ev.fk_range, [(0, ev.weights[:, None])], points, a9, group=loop_of)
     blocks = 0.5 * sums[0]
     return EnergyBreakdown(total=float(blocks.sum()), matrix=blocks)
 
@@ -336,8 +316,8 @@ def energy_and_gradient(network, ev, rule):
         raise GeometryError("energy gradient of an empty network")
     points, a9 = _gauss_cloud(network, rule)
     w = ev.weights[:, None]
-    terms = [(0, ev.fk, w), (1, ev.fk, w * ev.nodes)]
-    (ga,), gz = _sweep(ev, terms, points, a9, points, factor_range=lambda: ev.fk_range)
+    terms = [(0, w), (1, w * ev.nodes)]
+    (ga,), gz = _sweep(ev, ev.fk, ev.fk_range, terms, points, a9, points)
     energy = 0.5 * float(np.einsum("ic,ic->", a9, ga, optimize=False))
     layout = network.layout
     n = len(layout.nodes)
@@ -364,8 +344,8 @@ def pk_force(network, ev, rule):
         raise GeometryError("force on an empty network")
     points, a9 = _gauss_cloud(network, rule)
     layout = network.layout
-    term = (1, ev.fk, ev.weights[:, None] * ev.nodes)
-    (gz,) = _sweep(ev, [term], points, a9, layout.nodes, factor_range=lambda: ev.fk_range)
+    term = (1, ev.weights[:, None] * ev.nodes)
+    (gz,) = _sweep(ev, ev.fk, ev.fk_range, [term], points, a9, layout.nodes)
     # G = u x z with u_l = b_a F_(al)(cd) phi'_cd, each node with its own b
     gz = gz.reshape(3, -1, 3, 3)
     G = np.einsum("mlq,ia,qial->im", ALTERNATING, layout.burgers, gz, optimize=False)
@@ -409,5 +389,5 @@ def energy_surface(surfaces, ev):
     helpers).
     """
     P, a9 = _surface_cloud(surfaces)
-    (sums,) = _sweep(ev, [(2, ev.fj, ev.weights[:, None])], P, a9, factor_range=lambda: ev.fj_range)
+    (sums,) = _sweep(ev, ev.fj, ev.fj_range, [(2, ev.weights[:, None])], P, a9)
     return 0.5 * float(sums.sum())

@@ -21,6 +21,7 @@ decay scan builds its own equator-refined rules).
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -219,11 +220,12 @@ def _factor_range(f):
 class KernelEvaluator:
     """Immutable evaluator of the regularized kernels.
 
-    Holds the spherical rule plus the precontracted per-node factors, so
-    each evaluation is one profile sweep and one weighted contraction.
-    `fk_range` and `fj_range` span the factors' ranges per node (FK has
-    rank 5 and FJ rank 3 on the stiffnesses in use), so that kernel sums
-    can correlate fewer than 9 density channels.
+    Holds the rule's nodes and weights and the precontracted per-node
+    factors, so each evaluation is one profile sweep and one weighted
+    contraction.  `fk_range` and `fj_range` span the factors' ranges per
+    node (FK has rank 5 and FJ rank 3 on the stiffnesses in use), so that
+    kernel sums correlate fewer than 9 density channels; each is built on
+    the first sweep against its factor, not with the evaluator.
     """
 
     def __init__(self, elasticity, profile, quadrature=None):
@@ -231,14 +233,12 @@ class KernelEvaluator:
             quadrature = SphericalQuadrature.product_rule()
         self.elasticity = elasticity
         self.profile = profile
-        self.quadrature = quadrature
         self.nodes = quadrature.nodes
         self.weights = quadrature.weights
         self.fk = _k_factor_stack(elasticity, self.nodes)
         self.fk.setflags(write=False)
 
-    # built on first use: J only by surface energies, the ranges only by
-    # densities that span more channels than the factor's rank
+    # built on first use: J only by surface energies, the ranges by sweeps
     @functools.cached_property
     def fk_range(self):
         return _factor_range(self.fk)
@@ -256,9 +256,6 @@ class KernelEvaluator:
     @property
     def epsilon(self):
         return self.profile.epsilon
-
-    def with_quadrature(self, quadrature):
-        return KernelEvaluator(self.elasticity, self.profile, quadrature)
 
 
 def sphere_sum(ev, S, order=0, factor=None, directions=None):
@@ -280,28 +277,20 @@ def sphere_sum(ev, S, order=0, factor=None, directions=None):
     return (W @ F.reshape(-1, 81)).reshape(-1, 3, 3, 3, 3)
 
 
+@dataclass(frozen=True)
 class DecayCheckReport:
     """Result of a far-field decay scan for one derivative order."""
 
-    def __init__(self, m, j, constant, worst_location, radii, values, slope):
-        self.m = m
-        self.j = j
-        self.constant = constant
-        self.worst_location = worst_location
-        self.radii = radii
-        self.values = values
-        self.slope = slope
+    m: int
+    j: int
+    constant: float
+    slope: float
 
     def __repr__(self):
         return (
             f"DecayCheckReport(m={self.m}, j={self.j}, C={self.constant:.3e}, "
             f"slope={self.slope:.3f})"
         )
-
-
-def _tangential_frame(d):
-    R = _rotation_to(d)
-    return R[:, 0], R[:, 1]
 
 
 def decay_bound_scan(ev, m, j, n_radii=40):
@@ -319,10 +308,9 @@ def decay_bound_scan(ev, m, j, n_radii=40):
     rng = np.random.default_rng(0)
     radii = np.geomspace(1e-2 * eps, 1e3 * eps, n_radii)
     best_ratio = 0.0
-    worst_loc = np.zeros(3)
     by_radius = np.zeros(len(radii))
     for d in UNIT_COMBINATIONS / np.linalg.norm(UNIT_COMBINATIONS, axis=1)[:, None]:
-        e1, e2 = _tangential_frame(d)
+        e1, e2 = _rotation_to(d)[:, :2].T
         th = rng.uniform(0.0, 2.0 * np.pi, size=max(j, 1))
         tangentials = [np.cos(a) * e1 + np.sin(a) * e2 for a in th[:j]]
         # one adapted rule per radius octave
@@ -332,22 +320,19 @@ def decay_bound_scan(ev, m, j, n_radii=40):
             if key not in buckets:
                 u_core = min(1.0, 20.0 * eps / (eps * 2.0**key))
                 rule = SphericalQuadrature.equator_refined(d, u_core)
-                buckets[key] = ev.with_quadrature(rule)
+                buckets[key] = KernelEvaluator(ev.elasticity, ev.profile, rule)
             evr = buckets[key]
             s = r * d
             dirs = tangentials + [d] * (m - j)
             val = np.abs(sphere_sum(evr, s, m, directions=dirs)).max()
             denom = np.sqrt(eps ** (2 * m + 2) + eps ** (2 * j) * r ** (2 * m + 2 - 2 * j))
-            ratio = val * denom
+            best_ratio = max(best_ratio, val * denom)
             by_radius[ridx] = max(by_radius[ridx], val)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                worst_loc = s
     fit_mask = radii >= 10.0 * eps
     lr = np.log(radii[fit_mask])
     lv = np.log(np.maximum(by_radius[fit_mask], 1e-300))
     slope = float(np.polyfit(lr, lv, 1)[0])
-    return DecayCheckReport(m, j, float(best_ratio), worst_loc, radii, by_radius, slope)
+    return DecayCheckReport(m, j, float(best_ratio), slope)
 
 
 # ----------------------------------------------------------------------

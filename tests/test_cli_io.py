@@ -51,6 +51,8 @@ def test_minimal_config_fills_defaults():
         ('{"epsilon": 0.1, "output": null}', "'output' must be a JSON object"),
         ('{"epsilon": 0.1, "mobility": {"isotropic": 3}}', "'mobility.isotropic' must be a JSON object"),
         ('{"epsilon": 0.1, "quadrature": "ab"}', "'quadrature' must be a JSON object"),
+        # a snapshot at every step is "every": 1, not 0
+        ('{"epsilon": 0.1, "output": {"every": 0}}', "output.every"),
     ],
 )
 def test_config_errors_name_the_key(text, needle):
@@ -73,9 +75,8 @@ def test_config_builders():
 def test_config_full_elasticity_requires_symmetry():
     vals = [0.0] * 81
     vals[1] = 1.0  # C_1112 without its symmetric partners
-    cfg = loads_config(json.dumps({"epsilon": 0.1, "elasticity": {"full": vals}}))
     with pytest.raises(ConfigError, match="symmetr"):
-        cfg.elasticity_tensor()
+        loads_config(json.dumps({"epsilon": 0.1, "elasticity": {"full": vals}}))
 
 
 def test_network_roundtrip_bit_exact(lat, rng, tmp_path):
@@ -260,6 +261,11 @@ def test_cli_rejects_legendre_hadamard_violation(lat, tmp_path, capsys, lh_viola
     assert cli.main(["energy", "--input", str(netpath), "--config", str(cfgpath)]) == 2
     err = capsys.readouterr().err
     assert "'elasticity.full'" in err and "Legendre-Hadamard" in err
+    # simulate stops before it makes its output directory
+    outdir = tmp_path / "run"
+    args = ["simulate", "--input", str(netpath), "--config", str(cfgpath), "--out-dir", str(outdir)]
+    assert cli.main(args) == 2
+    assert not outdir.exists()
 
 
 def test_cli_exit_codes(lat, tmp_path):
@@ -286,6 +292,13 @@ def test_cli_exit_codes(lat, tmp_path):
     assert cli.main(["energy", "--input", str(tmp_path / "nope.json"), "--config", str(cfgpath)]) == 2
     bad.write_text("not json")
     assert cli.main(["energy", "--input", str(bad), "--config", str(cfgpath)]) == 2
+    # config: an output path that cannot be written
+    nowhere = str(tmp_path / "missing" / "out.csv")
+    for command in ("energy", "force"):
+        assert cli.main([command, "--input", str(netpath), "--config", str(cfgpath), "--out", nowhere]) == 2
+    assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "1,1,1", "--out", nowhere]) == 2
+    assert cli.main(["render", "--input", str(netpath), "--out", nowhere]) == 2
+    assert cli.main(["simulate", "--input", str(netpath), "--config", str(cfgpath), "--out-dir", str(bad)]) == 2
     # numerical: a valid network file without loops
     empty = tmp_path / "empty.json"
     netio.save_network(GE.DislocationNetwork(lat, [], 0.1), empty)

@@ -62,7 +62,7 @@ def pk_force_surface_form(loop, surface, ev):
     F = np.einsum(
         "def,klm,nalcd,a,nm,ne->ncfk", ALTERNATING, ALTERNATING, fkz, b, z, z, optimize=True
     ).reshape(-1, 9, 3)
-    (G,) = EF._sweep(ev, [(2, F, ev.weights[:, None])], P, a9, loop.nodes)
+    (G,) = EF._sweep(ev, F, None, [(2, ev.weights[:, None])], P, a9, loop.nodes)
     return G[0]
 
 

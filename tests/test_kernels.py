@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,18 +127,30 @@ def _random_stiffness(rng):
     return EL.ElasticityTensor(EL.make_isotropic(1.0, 1.0).c + 0.3 * np.einsum("kij,klm->ijlm", S, S))
 
 
-def test_factor_range_built_only_for_wide_densities(iso11, rule4, rng):
+def test_densities_correlate_in_the_narrower_basis(iso11, rule4, rng, monkeypatch):
+    """A planar loop's b (x) e densities span 2 channels, fewer than FK's
+    rank 5; three loops with b = x, y, z span all 9, so the sweep
+    correlates them in FK's range."""
     lat = SH.cubic_lattice()
     ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.25), KN.SphericalQuadrature.product_rule(8, 16))
+    channels = []
+    correlate = EF._correlate
+
+    def spy(ev, orders, src_t, src_a, dst_t):
+        channels.append(src_a.shape[2])
+        return correlate(ev, orders, src_t, src_a, dst_t)
+
+    monkeypatch.setattr(EF, "_correlate", spy)
     single = SH.single_loop_network(SH.circle_loop(lat, 1.0, 16), 0.25)
     EF.energy_and_gradient(single, ev, rule4)
-    assert "fk_range" not in ev.__dict__
+    assert set(channels) == {2}
+    channels.clear()
     loops = [
         SH.random_loop(lat, rng, n_nodes=8, scale=0.5, burgers=b, center=(1.5 * k, 0.0, 0.0))
         for k, b in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     ]
     EF.energy_and_gradient(GE.DislocationNetwork(lat, loops, 0.25), ev, rule4)
-    assert ev.fk_range.shape[2] == 5 and "fk_range" in ev.__dict__
+    assert set(channels) == {5}
 
 
 def test_factor_ranges_orthonormal_and_rebuild_factors(iso11, rng):
@@ -257,6 +271,7 @@ def test_decay_scan_smoke(ev_unit):
     assert np.isfinite(rep.constant)
     assert rep.slope <= -0.9
     assert repr(rep).startswith("DecayCheckReport")
+    assert [f.name for f in dataclasses.fields(rep)] == ["m", "j", "constant", "slope"]
 
 
 def test_self_convergence_rule(iso11):
