@@ -192,6 +192,9 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        out = getattr(args, "out", "-")  # checked before any computation
+        if out != "-" and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise FileNotFoundError(f"{out}: no directory to write it in")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

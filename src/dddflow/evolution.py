@@ -15,6 +15,7 @@ Peach-Koehler density under refinement and makes the discrete energy
 decrement match the dissipated power to second order in dt.
 """
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, field, fields
@@ -398,8 +399,25 @@ def step(state, dt, ev, model, rule, policy, precomputed=None):
     return state
 
 
+@functools.cache
+def _keep_freed_heap():
+    """Let the heap keep what a run frees.  Under glibc's default
+    thresholds the 0.1-2 MB arrays of every correlation chunk are unmapped
+    or trimmed when freed and faulted in again by the next chunk.  An mmap
+    threshold of 8 MiB, four times the largest array CHUNK_BUDGET allows,
+    serves them from the heap, and a trim threshold of twice that (glibc's
+    ratio) keeps them there.  Skipped where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(network, ev, model, rule, policy, snapshot_cb=None):
     """March the network until t_end, annihilation, blow-up or dt floor."""
+    _keep_freed_heap()
     state = EvolutionState(time=0.0, network=network)
     if network.is_empty():
         state.termination = "empty"

@@ -268,7 +268,7 @@ def test_cli_rejects_legendre_hadamard_violation(lat, tmp_path, capsys, lh_viola
     assert not outdir.exists()
 
 
-def test_cli_exit_codes(lat, tmp_path):
+def test_cli_exit_codes(lat, tmp_path, monkeypatch):
     netpath, cfgpath = _write_inputs(tmp_path, lat)
     # usage: unknown subcommand
     assert cli.main(["frobnicate"]) == 1
@@ -292,11 +292,21 @@ def test_cli_exit_codes(lat, tmp_path):
     assert cli.main(["energy", "--input", str(tmp_path / "nope.json"), "--config", str(cfgpath)]) == 2
     bad.write_text("not json")
     assert cli.main(["energy", "--input", str(bad), "--config", str(cfgpath)]) == 2
-    # config: an output path that cannot be written
+    # config: an output path that cannot be written, found before computing
+    def never(*args, **kwargs):
+        pytest.fail("computed before checking --out")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "energy_line", never)
+        m.setattr(cli, "pk_force", never)
+        m.setattr(netio, "kernel_table_csv", never)
+        for nowhere in (str(tmp_path / "missing" / "out.csv"), str(bad / "out.csv")):
+            for command in ("energy", "force"):
+                args = [command, "--input", str(netpath), "--config", str(cfgpath), "--out", nowhere]
+                assert cli.main(args) == 2
+            assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "1,1,1", "--out", nowhere]) == 2
+        assert not (tmp_path / "missing").exists()
     nowhere = str(tmp_path / "missing" / "out.csv")
-    for command in ("energy", "force"):
-        assert cli.main([command, "--input", str(netpath), "--config", str(cfgpath), "--out", nowhere]) == 2
-    assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "1,1,1", "--out", nowhere]) == 2
     assert cli.main(["render", "--input", str(netpath), "--out", nowhere]) == 2
     assert cli.main(["simulate", "--input", str(netpath), "--config", str(cfgpath), "--out-dir", str(bad)]) == 2
     # numerical: a valid network file without loops

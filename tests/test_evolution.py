@@ -1,4 +1,6 @@
 import math
+import os
+import platform
 import subprocess
 import sys
 
@@ -341,6 +343,53 @@ def test_repeat_run_bit_identical(lat, ev01, rule2):
         state = EV.run(net, ev01, MODEL, rule2, policy)
         csvs.append(netio.diagnostics_csv(state.diagnostics))
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap policy is set through glibc's mallopt")
+def test_repeat_run_reuses_the_freed_heap():
+    # a fresh interpreter whose allocator settings come from the program only;
+    # at glibc's defaults the second run faulted its chunk arrays in ~10k times
+    code = (
+        "import resource\n"
+        "from dddflow import elasticity as EL, evolution as EV, kernels as KN, mobility as MB, shapes as SH\n"
+        "from dddflow.energy_force import LineQuadratureRule\n"
+        "net = SH.single_loop_network(SH.circle_loop(SH.cubic_lattice(), 1.0, 128), 0.1)\n"
+        "ev = KN.KernelEvaluator(EL.make_isotropic(1.0, 1.0), KN.MollifierProfile(0.1),\n"
+        "                        KN.SphericalQuadrature.product_rule(16, 32))\n"
+        "model = MB.MobilityModel(alpha=1.0, drag=MB.IsotropicDrag(m=1.0))\n"
+        "args = (net, ev, model, LineQuadratureRule(2), EV.StepPolicy(t_end=0.5))\n"
+        "EV.run(*args)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "state = EV.run(*args)\n"
+        "print(len(state.diagnostics), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    steps, faults = map(int, out.stdout.split())
+    assert steps == 10
+    assert faults < 1000
+
+
+def test_run_without_mallopt_takes_the_same_path(lat, ev01, rule2, monkeypatch):
+    net = SH.single_loop_network(SH.circle_loop(lat, 0.5, 48), 0.1)
+    policy = EV.StepPolicy(t_end=0.2, dt_max=0.05)
+    EV._keep_freed_heap.cache_clear()
+    normal = EV.run(net, ev01, MODEL, rule2, policy)
+    lookups = []
+
+    def no_libc(name):
+        lookups.append(name)
+        raise OSError("no libc")
+
+    monkeypatch.setattr(EV.ctypes, "CDLL", no_libc)
+    EV._keep_freed_heap.cache_clear()
+    try:
+        bare = EV.run(net, ev01, MODEL, rule2, policy)
+    finally:
+        EV._keep_freed_heap.cache_clear()
+    assert lookups == [None]
+    assert bare.termination == normal.termination and len(bare.diagnostics) > 1
+    assert [r.values() for r in bare.diagnostics] == [r.values() for r in normal.diagnostics]
 
 
 def test_bound_monitor(lat, ev01, rule2):
