@@ -7,8 +7,12 @@ Each DIR holds the result files that `perfbench/run.py` wrote into
 for the end-to-end metrics, `-t1.json` for a traced run.  Per workload
 and end-to-end metric the entry holds the median, interquartile range and
 run count of parent and change, the relative change of the median, and
-how many seeds ran lower on the change.  Traced runs add their per-layer
-seconds (the median over seeds) for the layers the workload reaches.  Each side records its git revisions,
+how many seeds ran lower on the change.  Per workload and side it also
+holds the percentiles that `step_ms_tail` was taken at and the range of
+per-step sample counts, since the percentile moves with the count: a
+switch (p75 to p90, p95 to p99) shows next to the metric.  Traced runs
+add their per-layer seconds (the median over seeds) for the layers the
+workload reaches.  Each side records its git revisions,
 the digest of its `src/` (which names a checkout that is not a commit),
 numpy and scipy versions and core count.
 """
@@ -51,6 +55,16 @@ def values(runs, name):
     return [runs[seed]["metrics"][name]["value"] for seed in sorted(runs)]
 
 
+def tail_detail(runs):
+    """The step_ms_tail percentiles and the range of sample counts."""
+    details = [res["detail"] for res in runs.values()]
+    samples = [d["step_samples"] for d in details]
+    return {
+        "percentiles": sorted({d["step_tail_percentile"] for d in details}),
+        "samples": [min(samples), max(samples)],
+    }
+
+
 def compare(base, runs, name, unit):
     row = {"unit": unit, "change": summary(values(runs, name))}
     if base:
@@ -85,6 +99,7 @@ def fold(parent, change):
             entry["end_to_end"] = {
                 name: compare(sides["parent"], runs, name, unit) for name, unit in units.items()
             }
+            entry["step_tail"] = {side: tail_detail(r) for side, r in sides.items() if r}
     return {"parent": provenance(parent), "change": provenance(change), "workloads": workloads}
 
 

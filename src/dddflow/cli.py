@@ -138,7 +138,10 @@ def _cmd_kernel_table(args):
             raise ValueError
     except ValueError:
         raise _UsageError("--lo/--hi need 3 finite floats and --n needs 3 ints >= 1")
-    axes = [np.linspace(lo[i], hi[i], npts[i]) for i in range(3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = [np.linspace(lo[i], hi[i], npts[i]) for i in range(3)]
+    if not all(np.isfinite(ax).all() for ax in axes):
+        raise _UsageError("--lo/--hi span a grid that overflows")
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     _write(netio.kernel_table_csv(cfg.kernel_evaluator(), grid, include_grad=args.grad), args.out)
     return EXIT_OK

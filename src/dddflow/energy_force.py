@@ -113,36 +113,37 @@ _QUINTIC = np.array([
 
 
 def _spline_matrix(t, lo, dx, nfft):
-    """Quintic B-spline assignment of the points t (zc, n) to zc grids of
+    """Quintic B-spline assignment of the points t (n, zc) to zc grids of
     nfft nodes, grid k starting 3 spacings below lo[k]: the CSR matrix
-    (zc * n, zc * nfft) whose row k * n + i holds point i's six weights on
+    (n * zc, zc * nfft) whose row i * zc + k holds point i's six weights on
     grid k.  The margin is added after the subtraction, so a point at lo
     sits exactly at grid coordinate 3 and its leftmost tap at index 1; a
     margin subtracted from lo can round that tap to index -1, outside its
     node's grid."""
-    zc, n = t.shape
-    x = (t - lo[:, None]) / dx + 3.0
+    n, zc = t.shape
+    x = (t - lo) / dx + 3.0
     i0 = x.astype(np.intc)
-    powers = np.empty((6, zc * n))
+    powers = np.empty((6, n * zc))
     powers[0] = 1.0
     np.subtract(x.ravel(), i0.ravel(), out=powers[1])
     for p in range(2, 6):
         np.multiply(powers[p - 1], powers[1], out=powers[p])
-    i0 += (np.arange(zc, dtype=np.intc) * nfft)[:, None]
-    # one column per tap: a broadcast (zc * n, 6) sum was 4x slower
-    cols = np.empty((zc * n, 6), np.intc)
+    i0 += np.arange(zc, dtype=np.intc) * nfft
+    # one column per tap: a broadcast (n * zc, 6) sum was 4x slower
+    cols = np.empty((n * zc, 6), np.intc)
     for j in range(6):
         np.add(i0.ravel(), j - 2, out=cols[:, j])
-    rows = np.arange(0, 6 * zc * n + 1, 6, dtype=np.intc)
+    rows = np.arange(0, 6 * n * zc + 1, 6, dtype=np.intc)
     return scipy.sparse.csr_array(
-        ((powers.T @ _QUINTIC).ravel(), cols.ravel(), rows), shape=(zc * n, zc * nfft)
+        ((powers.T @ _QUINTIC).ravel(), cols.ravel(), rows), shape=(n * zc, zc * nfft)
     )
 
 
 # Chunks of one sweep share a few grid lengths: building the kernel
 # spectrum once per length took 12% off the CPU time of
 # energy_and_gradient (six sparse loops, 16x32 rule, 2-core x86 host).
-@functools.lru_cache(maxsize=64)
+# A 128-node shrink run meets 126 lengths; 256 spectra take about 0.3 MB.
+@functools.lru_cache(maxsize=256)
 def _kernel_spectrum(epsilon, order, nfft, reach):
     """rFFT of eta^(order) sampled on the grid (cut at +-KERNEL_CUT eps)
     over the spline's sinc^12 (deposit and gather), then cut at +-reach
@@ -167,10 +168,10 @@ def _kernel_spectrum(epsilon, order, nfft, reach):
 
 
 def _correlate(ev, orders, src_t, src_a, dst_t):
-    """sum_j eta^(order)(dst_t[k, i] - src_t[k, j]) src_a[k, j] for a chunk
-    of sphere nodes k, one (zc, n_dst, C) array per order.  With dst_t None
+    """sum_j eta^(order)(dst_t[i, k] - src_t[j, k]) src_a[j, k] for a chunk
+    of sphere nodes k, one (n_dst, zc, C) array per order.  With dst_t None
     the targets are the sources and each order gives instead the (zc, C, C)
-    sums over them of src_a[k, i, c] times the correlation of channel d.
+    sums over them of src_a[i, k, c] times the correlation of channel d.
 
     Each node's projections are deposited on a uniform grid anchored at
     their minimum (so translations move no point relative to the grid)
@@ -184,10 +185,12 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     """
     eps = ev.epsilon
     dx = GRID_STEP * eps
-    zc, n_chan = len(src_t), src_a.shape[2]
-    lo, hi = src_t.min(axis=1), src_t.max(axis=1)
-    if dst_t is not None and dst_t is not src_t:
-        lo, hi = np.minimum(lo, dst_t.min(axis=1)), np.maximum(hi, dst_t.max(axis=1))
+    (n, zc), n_chan = src_t.shape, src_a.shape[2]
+    # per-node extremes of a C-ordered node-major copy: numpy reduces a
+    # narrow array along its first axis 8x slower
+    both = src_t if dst_t is None or dst_t is src_t else np.concatenate((src_t, dst_t))
+    node_t = both.T.copy()
+    lo, hi = node_t.min(axis=1), node_t.max(axis=1)
     # taps run from index 1 (a point at lo) to m - 1 = int((hi - lo) / dx) + 6,
     # so targets meet sources only at lags below m - 1 and the kernel is
     # cut there when that is shorter than its own cut: exact, and the grid
@@ -197,7 +200,7 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     reach = min(m - 1, KERNEL_HALF)
     nfft = scipy.fft.next_fast_len(m + reach, real=True)
     spline = _spline_matrix(src_t, lo, dx, nfft)
-    rho = spline.T @ src_a.reshape(zc * src_t.shape[1], n_chan)
+    rho = spline.T @ src_a.reshape(n * zc, n_chan)
     spec = scipy.fft.rfft(rho.reshape(zc, nfft, n_chan), axis=1)
     del rho
     kernels = [_kernel_spectrum(eps, order, nfft, reach) for order in orders]
@@ -214,16 +217,16 @@ def _correlate(ev, orders, src_t, src_a, dst_t):
     out = []
     for k in kernels:
         conv = scipy.fft.irfft(spec * k[:, None], n=nfft, axis=1)
-        out.append((spline @ conv.reshape(zc * nfft, n_chan)).reshape(zc, -1, n_chan))
+        out.append((spline @ conv.reshape(zc * nfft, n_chan)).reshape(-1, zc, n_chan))
         del conv
     return out
 
 
 def _group_slots(coords, group, n_groups):
-    """Each source's coordinates (..., n, c) in its own group's slots of
-    (..., n, n_groups * c), zero elsewhere."""
+    """Each source's coordinates (n, ..., c) in its own group's slots of
+    (n, ..., n_groups * c), zero elsewhere."""
     slots = np.zeros(coords.shape[:-1] + (n_groups, coords.shape[-1]))
-    slots[..., np.arange(len(group)), group, :] = coords
+    slots[np.arange(len(group)), ..., group, :] = coords
     return slots.reshape(coords.shape[:-1] + (-1,))
 
 
@@ -245,15 +248,15 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
     few equal chunks as CHUNK_BUDGET allows, added in index order; their
     count follows from the network's extent and size only."""
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
-    # single loop): each node P[k] (9, r) holds that basis, or the range of
-    # its factor where that is narrower
+    # single loop): each node P[k] (9, r) holds that basis, on which they
+    # are projected once, or the range of its factor where that is narrower
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
     n_sphere = len(ev.weights)
     if V is not None and V.shape[2] < len(basis):
-        P = V
+        P, own = V, None
     else:
-        P = np.broadcast_to(basis.T, (n_sphere,) + basis.T.shape)
+        P, own = np.broadcast_to(basis.T, (n_sphere,) + basis.T.shape), src_a @ basis.T
     r = P.shape[2]
     n_groups = 1 if group is None else int(group.max()) + 1
     # F projected once per call and weighted per term: a chunk's sums are
@@ -281,8 +284,14 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
     n_chunks = int(np.ceil(n_sphere / max(1, CHUNK_BUDGET // per_node)))
     for nodes in np.array_split(np.arange(n_sphere), n_chunks):
         lo, hi = nodes[0], nodes[-1] + 1
-        ts = ev.nodes[lo:hi] @ src.T
-        a = src_a @ P[lo:hi]
+        ts = src @ ev.nodes[lo:hi].T
+        # one gemm per chunk in the ranges; the own-basis projection is
+        # repeated per node (copying it broadcast took 10x as long)
+        if own is None:
+            a = src_a @ P[lo:hi].transpose(1, 0, 2).reshape(9, -1)
+        else:
+            a = np.repeat(own, hi - lo, axis=0)
+        a = a.reshape(len(src), hi - lo, r)
         if group is not None:
             a = _group_slots(a, group, n_groups)
         if dst is None:
@@ -291,8 +300,8 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
                 for c in _correlate(ev, orders, ts, a, None)
             ]
         else:
-            td = ts if dst is src else ev.nodes[lo:hi] @ dst.T
-            corr = [c.transpose(1, 0, 2) for c in _correlate(ev, orders, ts, a, td)]
+            td = ts if dst is src else dst @ ev.nodes[lo:hi].T
+            corr = _correlate(ev, orders, ts, a, td)
         for acc, c, f in zip(sums, corr, factors):
             rows = c.reshape(-1, (hi - lo) * f.shape[1])
             acc += (rows @ f[lo:hi].reshape(-1, f.shape[2])).reshape(acc.shape)

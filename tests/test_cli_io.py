@@ -277,6 +277,9 @@ def test_cli_exit_codes(lat, tmp_path, monkeypatch):
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--n", "0,2,2"]) == 1
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--lo", "nan,0,0"]) == 1
     assert cli.main(["kernel-table", "--config", str(cfgpath), "--hi", "1,inf,1"]) == 1
+    # usage: finite bounds whose grid overflows
+    args = ["kernel-table", "--config", str(cfgpath), "--lo=-1.7e308,0,0", "--hi=1.7e308,1,1", "--n", "3,2,2"]
+    assert cli.main(args) == 1
     # usage: quadrature orders that no rule accepts, before any suite runs
     assert cli.main(["check", "--sphere-polar", "3"]) == 1
     assert cli.main(["check", "--sphere-azimuthal", "2"]) == 1

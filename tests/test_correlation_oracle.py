@@ -37,11 +37,13 @@ EXAMPLES = settings(
 
 
 def exact_correlate(ev, orders, src_t, src_a, dst_t):
-    d = (src_t if dst_t is None else dst_t)[:, :, None] - src_t[:, None, :]
+    # pair by pair per sphere node: node-major (zc, n) and (zc, n, C)
+    src_t, src_a = src_t.T, src_a.transpose(1, 0, 2)
+    d = (src_t if dst_t is None else dst_t.T)[:, :, None] - src_t[:, None, :]
     sums = [np.matmul(KN.eta(ev.profile, d, order), src_a) for order in orders]
     if dst_t is None:
         return [src_a.transpose(0, 2, 1) @ s for s in sums]
-    return sums
+    return [s.transpose(1, 0, 2) for s in sums]
 
 
 def pair_sum(fn, *args):

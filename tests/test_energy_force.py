@@ -37,15 +37,15 @@ def test_line_rule_exactness():
 
 def test_spline_matrix_partition_of_unity_and_first_moment(rng):
     dx, nfft = 0.25 / 6, 64
-    base = rng.uniform(-40.0, 40.0, size=(4, 1))
+    base = rng.uniform(-40.0, 40.0, size=(1, 4))
     # random offsets within a spacing, and offsets at and next to both ends
     f = np.concatenate([rng.uniform(0.0, 1.0, 40), [0.0, 1e-15, 1e-9, 0.5, 1 - 1e-9, 1 - 1e-15]])
-    t = base + (rng.integers(0, 40, f.size) + f) * dx
-    lo = t.min(axis=1)
+    t = base + ((rng.integers(0, 40, f.size) + f) * dx)[:, None]
+    lo = t.min(axis=0)
     S = EF._spline_matrix(t, lo, dx, nfft)
     assert S.shape == (t.size, 4 * nfft)
     w, local = S.data.reshape(-1, 6), S.indices.reshape(-1, 6) % nfft
-    coord = ((t - lo[:, None]) / dx + 3.0).ravel()
+    coord = ((t - lo) / dx + 3.0).ravel()
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-14
     assert np.abs((w * local).sum(axis=1) - coord).max() <= 1e-14 * coord.max()
 
@@ -59,11 +59,13 @@ def test_spline_columns_stay_in_their_node_grid(three_loop_net, ev_quarter, rule
     def checked(t, lo, dx, nfft):
         # checked before the matrix is used: its products do not bounds-check columns
         S = spline(t, lo, dx, nfft)
-        zc, n = t.shape
-        local = (S.indices.reshape(zc, n, 6) - (np.arange(zc) * nfft)[:, None, None]).reshape(zc, -1)
+        n, zc = t.shape
+        # row i * zc + k against node k's grid
+        local = S.indices.reshape(n, zc, 6) - (np.arange(zc) * nfft)[:, None]
+        local = local.transpose(1, 0, 2).reshape(zc, -1)
         assert local.min() >= 1 and local.max() < nfft
         # a point at the node's minimum has its leftmost tap at index 1
-        on_min = np.any(t == lo[:, None], axis=1)
+        on_min = np.any(t == lo, axis=0)
         assert (local.min(axis=1)[on_min] == 1).all()
         at_min.append(on_min.sum())
         return S
@@ -77,13 +79,13 @@ def test_spline_columns_stay_in_their_node_grid(three_loop_net, ev_quarter, rule
 
 def test_parseval_sums_equal_gathered_sums(three_loop_net, ev_quarter, rule4):
     points, a9 = EF._gauss_cloud(three_loop_net, rule4)
-    ts = ev_quarter.nodes[:16] @ points.T
+    ts = points @ ev_quarter.nodes[:16].T
     orders = (0, 1, 2)
-    a = np.broadcast_to(a9, (len(ts),) + a9.shape)
+    a = np.broadcast_to(a9[:, None], (len(a9), 16, 9))
     sums = EF._correlate(ev_quarter, orders, ts, a, None)
     gathered = EF._correlate(ev_quarter, orders, ts, a, ts)
     for got, corr in zip(sums, gathered):
-        want = np.matmul(a9.T, corr)
+        want = np.matmul(a9.T, corr.transpose(1, 0, 2))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -95,13 +97,13 @@ def long_grid_correlate(ev, order, src_t, src_a, dst_t):
     at its full cut, so no lag that a target meets is dropped."""
     eps, nfft = ev.profile.epsilon, 512
     dx = EF.GRID_STEP * eps
-    lo = np.minimum(src_t.min(axis=1), dst_t.min(axis=1))
-    zc, n_chan = len(src_t), src_a.shape[2]
+    lo = np.minimum(src_t.min(axis=0), dst_t.min(axis=0))
+    zc, n_chan = src_t.shape[1], src_a.shape[2]
     rho = EF._spline_matrix(src_t, lo, dx, nfft).T @ src_a.reshape(-1, n_chan)
     spec = scipy.fft.rfft(rho.reshape(zc, nfft, n_chan), axis=1)
     conv = scipy.fft.irfft(spec * EF._kernel_spectrum(eps, order, nfft, HALF)[:, None], n=nfft, axis=1)
     gathered = EF._spline_matrix(dst_t, lo, dx, nfft) @ conv.reshape(zc * nfft, n_chan)
-    return gathered.reshape(zc, -1, n_chan)
+    return gathered.reshape(-1, zc, n_chan)
 
 
 @pytest.mark.parametrize("m", [8, 20, 72, 73, 74])
@@ -109,16 +111,17 @@ def test_cut_kernel_correlation_matches_long_grid(ev_quarter, m, rng):
     # a chunk of three sphere nodes whose widest projection gives m
     dx = EF.GRID_STEP * ev_quarter.profile.epsilon
     extent = (m - 6.5) * dx
-    src_t = 3.7 + extent * rng.uniform(0.0, 1.0, (3, 40)) * np.array([[1.0], [0.9], [0.6]])
-    src_t[0, :2] = 3.7, 3.7 + extent
-    dst_t = 3.7 + extent * rng.uniform(0.0, 1.0, (3, 25))
-    src_a = rng.normal(size=(3, 40, 2))
+    src_t = (3.7 + extent * rng.uniform(0.0, 1.0, (3, 40)) * np.array([[1.0], [0.9], [0.6]])).T
+    src_t[:2, 0] = 3.7, 3.7 + extent
+    dst_t = (3.7 + extent * rng.uniform(0.0, 1.0, (3, 25))).T
+    src_a = rng.normal(size=(3, 40, 2)).transpose(1, 0, 2)
     orders = (0, 1, 2)
     for targets in (src_t, dst_t, None):
         got = EF._correlate(ev_quarter, orders, src_t, src_a, targets)
         for order, g in zip(orders, got):
             if targets is None:  # the Parseval path: sums over the sources
-                want = src_a.transpose(0, 2, 1) @ long_grid_correlate(ev_quarter, order, src_t, src_a, src_t)
+                corr = long_grid_correlate(ev_quarter, order, src_t, src_a, src_t)
+                want = src_a.transpose(1, 2, 0) @ corr.transpose(1, 0, 2)
             else:
                 want = long_grid_correlate(ev_quarter, order, src_t, src_a, targets)
             assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
@@ -146,7 +149,7 @@ def test_sweep_sizes_chunks_and_grids_by_the_cloud(lat, iso11, monkeypatch, n_no
     correlate, spline = EF._correlate, EF._spline_matrix
 
     def spy_correlate(ev, orders, src_t, src_a, dst_t):
-        sizes.append(len(src_t))
+        sizes.append(src_t.shape[1])
         return correlate(ev, orders, src_t, src_a, dst_t)
 
     def spy_spline(t, lo, dx, nfft):

@@ -345,6 +345,18 @@ def test_repeat_run_bit_identical(lat, ev01, rule2):
     assert csvs[0] == csvs[1]
 
 
+def test_repeat_run_builds_no_kernel_spectrum(lat, ev01, rule2):
+    # a loop shrinking to annihilation meets about a hundred grid lengths,
+    # and each spectrum must still be cached when the next run needs it
+    net = SH.single_loop_network(SH.circle_loop(lat, 0.5, 32), 0.1)
+    policy = EV.StepPolicy(t_end=1e9, dt_max=0.5)
+    first = EV.run(net, ev01, MODEL, rule2, policy)
+    misses = EF._kernel_spectrum.cache_info().misses
+    second = EV.run(net, ev01, MODEL, rule2, policy)
+    assert first.termination == second.termination == "annihilated"
+    assert EF._kernel_spectrum.cache_info().misses == misses
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap policy is set through glibc's mallopt")
 def test_repeat_run_reuses_the_freed_heap():
     # a fresh interpreter whose allocator settings come from the program only;

@@ -49,10 +49,11 @@ def test_calibrate_bounds_ratios_are_the_monitored_ratios(lat):
     assert set(ratios) == {"pk_linf", "pk_l2", "ap_vel", "length_rate"}
 
 
-def _result(workload, seed, trace, metrics, rev, failed=0):
+def _result(workload, seed, trace, metrics, rev, failed=0, detail=None):
     return {
         "workload": workload, "seed": seed, "trace": trace, "attempted": 2, "failed": failed,
         "metrics": {name: {"value": v, "unit": unit} for name, (v, unit) in metrics.items()},
+        "detail": detail or {},
         "provenance": {"git_rev": rev, "src_sha256": rev * 2, "nproc": 2, "numpy": "2.0", "scipy": "1.1"},
     }
 
@@ -63,7 +64,11 @@ def test_bench_entry_folds_parent_and_change(tmp_path):
     for side, (directory, rev, wall) in sides.items():
         directory.mkdir()
         for seed in (1, 2, 3, 4):
-            res = _result("w", seed, 0, {"wall_s": (wall + seed, "s"), "peak_rss_mb": (100.0, "MB")}, rev)
+            # the change's faster fourth run has enough samples for p90
+            samples = 52 + 10 * seed + (40 if (side, seed) == ("change", 4) else 0)
+            detail = {"step_samples": samples, "step_tail_percentile": 90.0 if samples >= 100 else 75.0}
+            res = _result("w", seed, 0, {"wall_s": (wall + seed, "s"), "peak_rss_mb": (100.0, "MB")}, rev,
+                          detail=detail)
             (directory / f"w-s{seed}-t0.json").write_text(json.dumps(res))
         traced = {
             "geometry.mass_ratio.s": (wall / 10, "s"),
@@ -88,4 +93,8 @@ def test_bench_entry_folds_parent_and_change(tmp_path):
     assert (wall["pairs"], wall["pairs_lower"]) == (4, 4)
     assert w["end_to_end"]["peak_rss_mb"]["pairs_lower"] == 0
     assert w["failed"] == {"parent": "0/8", "change": "0/8"}
+    assert w["step_tail"] == {
+        "parent": {"percentiles": [75.0], "samples": [62, 92]},
+        "change": {"percentiles": [75.0, 90.0], "samples": [62, 132]},
+    }
     assert w["traced_s"] == {"geometry.mass_ratio.s": {"parent": 1.0, "change": 0.7}}
