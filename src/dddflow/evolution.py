@@ -5,7 +5,7 @@ periodic piecewise-linear velocity fields on every loop, with the line
 constraint v.tau = 0 eliminated by expressing v in a per-node basis of
 the normal plane.  All loops form one SPD system, block tridiagonal along
 each loop with 2x2 blocks and one wrap-around coupling, which block
-cyclic reduction solves for all loops at once.  Nodes are then
+cyclic reduction shrinks and a batched dense solve ends.  Nodes are then
 pushed forward by dt*v, the mesh is resampled when segments leave the
 target band, and loops below the annihilation length are removed.
 
@@ -118,15 +118,14 @@ class EvolutionState:
 
 
 def _normal_basis(tau):
-    """Orthonormal (e1, e2) spanning the plane normal to each tangent."""
-    n = len(tau)
-    ref = np.zeros((n, 3))
-    smallest = np.argmin(np.abs(tau), axis=1)
-    ref[np.arange(n), smallest] = 1.0
-    e1 = np.cross(tau, ref)
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(tau, e1)
-    return e1, e2
+    """Orthonormal bases (n, 3, 2) of the planes normal to unit tangents:
+    the branchless frame of Duff et al., J. Comput. Graph. Tech. 6 (2017)."""
+    x, y, z = tau.T
+    s = np.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    e1 = np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=1)
+    return np.stack([e1, np.stack([b, s + y * y * a, -y], axis=1)], axis=2)
 
 
 def _reduced_system(network, force_density, model):
@@ -142,7 +141,7 @@ def _reduced_system(network, force_density, model):
             f"hairpin node(s) {np.flatnonzero(layout.hairpin).tolist()}: remesh before solving"
         )
     succ = layout.succ
-    Q = np.stack(_normal_basis(layout.tangents), axis=2)
+    Q = _normal_basis(layout.tangents)
     Qt = Q.transpose(0, 2, 1)
     bdag = drag_matrix(model, layout.burgers, layout.tangents)
     # segment i -> succ[i] penalizes |Q_j u_j - Q_i u_i|^2 with weight alpha / h_i
@@ -162,17 +161,25 @@ def _block_product(D, B, succ, u):
     return y
 
 
+# Cyclic reduction stops at loops of this many nodes (2-core x86, one BLAS thread):
+# dense solves of 7-39 nodes took 1/5-1/3 of its time, of 40 loops of 30 as long.
+DENSE_LOOP = 24
+
+
 @functools.lru_cache(maxsize=16)
-def _reduction_levels(sizes):
+def _reduction_plan(sizes):
     """Index plan of block cyclic reduction on loops of the given sizes,
-    stored one after another.  Each level eliminates the nodes j at odd
-    positions of every loop (no two adjacent), each between p = j - 1 and
-    its successor s; the survivors `keep` stay in order.  ip and is_ are
-    the survivor indices of each j's p and s, and a and b give each
-    survivor the j it precedes and the j it follows, len(j) for none."""
+    stored one after another, while some loop has more than DENSE_LOOP
+    nodes.  Each level eliminates the nodes j at odd positions of every
+    loop (no two adjacent), each between p = j - 1 and its successor s;
+    the survivors `keep` stay in order.  ip and is_ are the survivor
+    indices of each j's p and s, and a and b give each survivor the j it
+    precedes and the j it follows, len(j) for none.  The base indexes the
+    survivors' blocks D, B, B^T, their unknowns and the padding's diagonal
+    in one dense system per loop, padded with the identity to 2S unknowns."""
     sizes = np.array(sizes)
     levels = []
-    while sizes.max() > 1:
+    while sizes.max() > DENSE_LOOP:
         start = np.repeat(np.cumsum(sizes) - sizes, sizes)
         pos = np.arange(len(start)) - start
         odd = pos % 2 == 1
@@ -186,7 +193,18 @@ def _reduction_levels(sizes):
         b[is_] = np.arange(len(j))
         levels.append((j, keep, ip, is_, a, b))
         sizes = (sizes + 1) // 2
-    return levels
+    n_loops, size = len(sizes), int(sizes.max())
+    pos = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    succ = (pos + 1) % np.repeat(sizes, sizes)
+    first = np.repeat(np.arange(n_loops) * 2 * size, sizes)
+
+    def block(p, q):  # rows 2p, 2p + 1 and columns 2q, 2q + 1 of each node's loop
+        return ((first + 2 * p)[:, None, None] + [[0], [1]]) * 2 * size + 2 * q[:, None, None] + [0, 1]
+
+    unknown = ((first + 2 * pos)[:, None] + [0, 1]).ravel()
+    pad = np.setdiff1d(np.arange(n_loops * 2 * size), unknown)
+    blocks = np.stack([block(pos, pos), block(pos, succ), block(succ, pos)]).ravel()
+    return levels, (blocks, pad * 2 * size + pad % (2 * size), unknown, n_loops, size)
 
 
 # adj(M) = M[::-1, ::-1].T * _ADJ_SIGN for a 2x2 M, so adj(M) M = det(M) I
@@ -204,17 +222,16 @@ def _solve_2x2(M, R):
 def _cyclic_reduction(D, B, rhs, sizes):
     """Solve the system (D, B) of `_reduced_system` on loops of the given
     sizes by block cyclic reduction (Heller, SIAM J. Numer. Anal. 13,
-    1976): O(n) work, in as many batched levels as log2 of the largest
-    size.
+    1976) in batched levels, until no loop has more than DENSE_LOOP
+    nodes, and what is left as one batched dense system.
 
     Each node holds its row [D | r | B] (2 x 5).  Eliminating j, with
     u_j = D_j^-1 (r_j - B_p^T u_p - B_j u_s), subtracts B_p D_j^-1
     [B_p^T | r_j | B_j + D_j] from row p, which leaves it the coupling
     -B_p D_j^-1 B_j to s, and B_j^T D_j^-1 [B_j | r_j] from [D | r] of row
     s.  It is symmetric elimination of an SPD matrix, so the blocks stay
-    SPD and need no pivoting; a 2-cycle (p = s) takes both updates.  A
-    loop reduced to one node has the system D + B + B^T."""
-    levels = _reduction_levels(sizes)
+    SPD and need no pivoting; a 2-cycle (p = s) takes both updates."""
+    levels, (blocks, pad, unknown, n_loops, size) = _reduction_plan(sizes)
     M = np.concatenate((D, rhs[:, :, None], B), axis=2)
     solved = []
     for j, keep, ip, is_, a, b in levels:
@@ -232,7 +249,13 @@ def _cyclic_reduction(D, B, rhs, sizes):
         M_next[:, :, :3] -= to_s.take(b, axis=0)
         solved.append(X[:, :, :5])
         M = M_next
-    u = _solve_2x2(M[:, :, :2] + M[:, :, 3:] + M[:, :, 3:].transpose(0, 2, 1), M[:, :, 2:3])[:, :, 0]
+    # entries that meet add up: a loop of one node has D + B + B^T
+    values = np.stack((M[:, :, :2], M[:, :, 3:], M[:, :, 3:].transpose(0, 2, 1))).ravel()
+    A = np.bincount(blocks, values, n_loops * 4 * size * size)
+    A[pad] = 1.0
+    r = np.bincount(unknown, M[:, :, 2].ravel(), n_loops * 2 * size)
+    u = np.linalg.solve(A.reshape(n_loops, 2 * size, -1), r.reshape(n_loops, -1, 1)).ravel()
+    u = u[unknown].reshape(-1, 2)
     for (j, keep, ip, is_, a, b), X in zip(reversed(levels), reversed(solved)):
         # X [u_s | -1 | u_p] = D_j^-1 (B_j u_s - r_j + B_p^T u_p) = -u_j
         y = np.concatenate((u.take(is_, axis=0), np.full((len(j), 1), -1.0), u.take(ip, axis=0)), axis=1)

@@ -294,12 +294,13 @@ def mass_ratio(network):
     seg_mass = bnorm * seg_len
     a = np.einsum("md,md->m", vecs, vecs)
     vx, vy, vz = vecs.T
+    # (3, n) coordinate planes: the offsets from the strided nodes.T took 3x as long
+    xyz = np.ascontiguousarray(nodes.T)
     best = 0.0
     block = max(1, MASS_RATIO_PAIRS // n)
     for lo in range(0, n, block):
-        cb = nodes[lo : lo + block]
-        nc = len(cb)
-        rel = nodes.T[:, None, :] - cb.T[:, :, None]  # (3, c, m): segment starts
+        rel = xyz[:, None, :] - xyz[:, lo : lo + block, None]  # (3, c, m): segment starts
+        nc = rel.shape[1]
         c0 = rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2
         d = np.sqrt(c0)
         radii = np.concatenate([d, np.full((nc, 1), 0.5 * network.epsilon)], axis=1)
@@ -310,13 +311,12 @@ def mass_ratio(network):
         # radii below dmin by this margin clip to exactly 0 despite the
         # quadratic's rounding (~1e-15 dmax^2), so they need no triple
         dlow = np.sqrt(np.maximum(c0 + foot * (b + a * foot) - 1e-12 * dmax**2, 0.0))
-        k_hi = np.array([np.searchsorted(r, key) for r, key in zip(r_sorted, dmax)])
-        k_lo = np.array([np.searchsorted(r, key) for r, key in zip(r_sorted, dlow)])
-        m_of_r = _prefix_mass(k_hi, seg_mass)
+        k = np.array([r.searchsorted(key) for r, key in zip(r_sorted, np.concatenate((dmax, dlow), 1))])
+        k_hi, k_lo = k[:, :n], k[:, n:]
+        # W and, at radius index k, U: the segments with k_lo <= k, a sum
+        # of nonnegative terms whose rounding stays within the 1e-12 margin
+        m_of_r, upper = _prefix_mass(k.reshape(2 * nc, n), seg_mass).reshape(nc, 2, -1).transpose(1, 0, 2)
         best = max(best, float((m_of_r / r_sorted).max()))
-        # U at radius index k: the segments with k_lo <= k, a sum of
-        # nonnegative terms whose rounding stays within the 1e-12 margin
-        upper = _prefix_mass(k_lo, seg_mass)
         keep = (upper / r_sorted >= best * (1.0 - 1e-12)).ravel()
         kept = np.flatnonzero(keep)
         # kept radii below each flat radius index, and each (center,

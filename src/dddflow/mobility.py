@@ -77,7 +77,7 @@ def _projector(tau):
 
 def _check_unit(tau):
     tau = np.asarray(tau, dtype=float)
-    if np.any(np.abs(np.linalg.norm(tau, axis=-1) - 1.0) > 1e-10):
+    if np.any(np.abs(np.sqrt(np.einsum("...i,...i->...", tau, tau)) - 1.0) > 1e-10):
         raise ValueError("tau must be a unit vector")
     return tau
 
@@ -125,7 +125,7 @@ def drag_matrix(model, b, tau):
     """
     tau = _check_unit(tau)
     b = np.broadcast_to(np.asarray(b, dtype=float), tau.shape)
-    if np.any(np.linalg.norm(b, axis=-1) == 0.0):
+    if not b.any(axis=-1).all():
         raise ValueError("Burgers vector must be nonzero")
     P = _projector(tau)
     if isinstance(model.drag, IsotropicDrag):

@@ -62,8 +62,8 @@ def network_from_dict(data):
 
 def save_network(network, path):
     with open(path, "w") as fh:
-        json.dump(network_to_dict(network), fh)
-        fh.write("\n")
+        # json.dumps runs the C encoder, json.dump to a file the pure-Python one
+        fh.write(json.dumps(network_to_dict(network)) + "\n")
 
 
 def load_network(path):

@@ -96,6 +96,18 @@ def test_network_roundtrip_bit_exact(lat, rng, tmp_path):
         assert np.array_equal(a.burgers.coords, b.burgers.coords)
 
 
+def test_save_network_writes_the_dumped_dict(lat, tmp_path):
+    # a snapshot is the C encoder's text of the dict and one newline
+    net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 128, burgers=(1, 1, 0)), 0.1)
+    path = tmp_path / "snap.json"
+    netio.save_network(net, path)
+    assert path.read_text() == json.dumps(netio.network_to_dict(net)) + "\n"
+    back = netio.load_network(path)
+    assert back.epsilon == net.epsilon and back.lattice == net.lattice
+    assert np.array_equal(back.loops[0].nodes, net.loops[0].nodes)
+    assert np.array_equal(back.loops[0].burgers.coords, net.loops[0].burgers.coords)
+
+
 def test_network_format_validation(tmp_path):
     with pytest.raises(ConfigError, match="format"):
         netio.network_from_dict({"format": "nope"})

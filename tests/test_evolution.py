@@ -89,7 +89,7 @@ def _dense_velocity_reference(net, f, model):
         n = len(lp)
         layout = GE.DislocationNetwork(net.lattice, [lp], net.epsilon).layout
         tau, h, lumped, b = layout.tangents, layout.seg_len, layout.lumped, lp.burgers.cartesian
-        Q = np.stack(EV._normal_basis(tau), axis=2)
+        Q = EV._normal_basis(tau)
         A, rhs = np.zeros((2 * n, 2 * n)), np.zeros(2 * n)
         for i in range(n):
             j = (i + 1) % n
@@ -172,6 +172,52 @@ def test_odd_and_even_loops_match_dense_reference(lat, rng):
     burgers = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, -1, 0)]
     bcc = MB.MobilityModel(alpha=0.5, drag=MB.BccDrag(B_eg=4.0, B_ec=1.0, B_s=2.0))
     _assert_matches_dense_reference(_odd_and_even_loops(lat, burgers), bcc, rng)
+
+
+BCC_NEAR_SCREW = MB.MobilityModel(
+    alpha=0.5, drag=MB.BccDrag(B_eg=4.0, B_ec=1.0, B_s=2.0), screw_tolerance=1e-3
+)
+K = EV.DENSE_LOOP
+
+
+def _screw_ellipses(lat, n):
+    """An ellipse of n nodes with b along its major axis, whose tangents at
+    the minor-axis ends are exact screws when 4 divides n, and the same
+    ellipse turned by 1.5 screw tolerances, which puts them in the blend
+    band."""
+    lp = SH.ellipse_loop(lat, 1.0, 0.6, n, burgers=(1, 0, 0))
+    a = math.asin(1.5 * BCC_NEAR_SCREW.screw_tolerance)
+    turn = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+    return [lp, GE.Loop(lp.nodes @ turn.T, lp.burgers)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, K - 1, K, K + 1, 2 * K + 1, 128])
+def test_single_loop_sizes_match_dense_reference(lat, rng, n):
+    # below, at and above the size where cyclic reduction hands over to the dense solve
+    iso = MB.MobilityModel(alpha=0.7, drag=MB.IsotropicDrag(m=1.3))
+    _assert_matches_dense_reference(SH.single_loop_network(SH.random_loop(lat, rng, n_nodes=n), 0.1), iso, rng)
+    tol = BCC_NEAR_SCREW.screw_tolerance
+    for lp, band in zip(_screw_ellipses(lat, n), ((0.0, tol), (tol, 2 * tol))):
+        net = SH.single_loop_network(lp, 0.1)
+        if n % 4 == 0:
+            b, tau = net.layout.burgers, net.layout.tangents
+            sin = np.linalg.norm(np.cross(b, tau), axis=1) / np.linalg.norm(b, axis=1)
+            assert ((sin >= band[0]) & (sin <= band[1])).sum() >= 2
+        _assert_matches_dense_reference(net, BCC_NEAR_SCREW, rng)
+
+
+def test_loops_below_and_above_dense_size_match_dense_reference(lat, rng):
+    sizes = (5, K, K + 1, 2 * K + 1, 40)
+    burgers = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
+    loops = [
+        SH.random_loop(lat, rng, n_nodes=n, burgers=b, center=(3.0 * k, 0.0, 0.0))
+        for k, (n, b) in enumerate(zip(sizes, burgers))
+    ]
+    net = GE.DislocationNetwork(lat, loops + _screw_ellipses(lat, 2 * K + 1), 0.1)
+    # two reduction levels take 2K + 1 nodes below K, then every loop is solved dense
+    assert len(EV._reduction_plan(tuple(len(lp) for lp in net.loops))[0]) == 2
+    _assert_matches_dense_reference(net, MB.MobilityModel(alpha=0.7, drag=MB.IsotropicDrag(m=1.3)), rng)
+    _assert_matches_dense_reference(net, BCC_NEAR_SCREW, rng)
 
 
 def test_large_loop_residual_and_constraint(lat, rng):

@@ -281,6 +281,19 @@ def test_mass_ratio_reference_ties(lat, rng):
         assert abs(GE.mass_ratio(net) - want) <= MASS_RATIO_RTOL * want
 
 
+@pytest.mark.parametrize("n", [6, 8, 64])
+def test_mass_ratio_regular_polygon_ties(lat, n):
+    """A regular polygon's distances from a node come in equal pairs, and
+    each is the farther endpoint distance of two segments; two coincident
+    polygons repeat every radius and give zero distances (eps/2 radii)."""
+    for eps in (0.1, 1.0):
+        one = SH.circle_loop(lat, 1.0, n)
+        for loops in ([one], [one, SH.circle_loop(lat, 1.0, n)]):
+            net = GE.DislocationNetwork(lat, loops, eps)
+            want = mass_ratio_reference(net)
+            assert abs(GE.mass_ratio(net) - want) <= MASS_RATIO_RTOL * want
+
+
 def test_mass_ratio_large_circle_window(lat):
     # 2048 nodes: ~150 s for the O(N^3) reference scan
     lp = SH.circle_loop(lat, 2048 * 0.05 / (2 * np.pi), 2048)

@@ -1,10 +1,13 @@
 """The scripts: the calibration's per-step code against the run it
-calibrates, and the benchmark entry on synthetic result files."""
+calibrates, the benchmark entry on synthetic result files, and the step
+profile on a small circle."""
 
 import dataclasses
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
 
 from dddflow import elasticity as EL
 from dddflow import energy_force as EF
@@ -98,3 +101,29 @@ def test_bench_entry_folds_parent_and_change(tmp_path):
         "change": {"percentiles": [75.0, 90.0], "samples": [62, 132]},
     }
     assert w["traced_s"] == {"geometry.mass_ratio.s": {"parent": 1.0, "change": 0.7}}
+
+
+def test_step_profile_splits_each_step_by_phase():
+    script = _load("step_profile")
+    assert set(script.load_generators()) == {"shrink_circle", "loop_ensemble", "static_eval"}
+    # a 12-node circle shrinks to annihilation in a few dozen steps, remeshed to 7 nodes on the way
+    eps, n = 0.1, 12
+    th = 2.0 * np.pi * np.arange(n) / n
+    radius = n * 0.8 * eps / (2.0 * np.pi)
+    nodes = np.stack([radius * np.cos(th), radius * np.sin(th), np.zeros(n)], axis=1)
+    net = {"format": "ddd-net/1", "epsilon": eps, "lattice": np.eye(3).tolist(),
+           "loops": [{"burgers": [0, 0, 1], "nodes": nodes.tolist()}]}
+    cfg = {"epsilon": eps, "quadrature": {"sphere_polar": 16, "sphere_azimuthal": 32, "line_order": 2},
+           "stepping": {"dt_max": 0.5, "t_end": 1e9}}
+    solve = EV.solve_velocity
+    out = script.profile(net, cfg)
+    assert EV.solve_velocity is solve
+    assert out["termination"] == "annihilated"
+    steps = out["steps"]
+    assert out["n_steps"] == len(steps) > 10
+    assert {s["n_nodes"] for s in steps} == {12, 7}
+    phases = [f"{p}_s" for p in script.PHASES]
+    assert all(s[p] >= 0.0 for s in steps for p in phases)
+    assert out["total_s"] == sum(s[p] for s in steps for p in phases)
+    assert set(out["fit"]) == set(script.PHASES)
+    assert all(set(f) == {"intercept_s", "slope_s_per_node"} for f in out["fit"].values())
