@@ -34,27 +34,26 @@ MAX_STEPS = 60
 def step_ratios(state, ev, model, rule, policy):
     """Advance the run's state by one step of the run's own `step`, and
     return each bound's left-hand side over its right-hand side with C = 1
-    on the network the step started from.
+    on the network the step started from; none if the step hit the dt
+    floor, which appends no row.
 
-    ap_vel and length_rate are the step's monitored ratios times their
-    constants; pk_linf takes the larger of the gradient and line-formula
-    forces.
+    ap_vel, length_rate and pk_linf are the step's monitored ratios times
+    their constants, pk_linf rescaled to the larger of the gradient and
+    line-formula forces.
     """
     net = state.network
-    solved = EV._energy_force_velocity(state, ev, model, rule)
-    vf = solved[2]
-    dt = policy.choose_dt(net.epsilon, vf.v_inf, vf.dv_inf, policy.t_end - state.time)
-    EV.step(state, dt, ev, model, rule, policy, precomputed=solved)
+    EV.step(state, ev, model, rule, policy)
+    if state.termination == "dt_floor":
+        return {}
     row = state.diagnostics[-1]
     m, theta = row.mass, row.theta_hat
     field = EF.pk_force(net, ev, rule)
     f_inf = max(row.f_inf, float(np.linalg.norm(field.density, axis=1).max()))
-    r_f = EV._bound_ratios(net, model, vf, f_inf, m, theta, 0.0, m)[1]
     eps = net.epsilon
     logterm = math.log(1.0 + 2.0 * m / (eps * theta))
     f_l2 = float(np.sqrt((field.lumped * (field.density**2).sum(axis=1)).sum()))
     return {
-        "pk_linf": r_f * BOUND_CONSTANTS["pk_linf"],
+        "pk_linf": row.ratio_pk_linf * (f_inf / row.f_inf) * BOUND_CONSTANTS["pk_linf"],
         "pk_l2": f_l2 * eps / (net.max_burgers_norm() * math.sqrt(m) * theta * logterm),
         "ap_vel": row.ratio_ap_vel * BOUND_CONSTANTS["ap_vel"],
         "length_rate": row.ratio_length_rate * BOUND_CONSTANTS["length_rate"],

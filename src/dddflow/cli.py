@@ -60,7 +60,7 @@ def _build_parser():
     kt.add_argument("--out", default="-")
 
     ck = sub.add_parser("check", help="run the acceptance/invariant suites")
-    ck.add_argument("--only", nargs="*", default=None, choices=checks.CHECK_NAMES)
+    ck.add_argument("--only", nargs="+", default=None, choices=checks.CHECK_NAMES)
     ck.add_argument("--sphere-polar", type=int, default=None)
     ck.add_argument("--sphere-azimuthal", type=int, default=None)
     ck.add_argument("--nphi-scale", type=float, default=None)

@@ -17,6 +17,7 @@ from .evolution import StepPolicy
 
 __all__ = ["SimulationConfig", "load_config", "loads_config"]
 
+_POLICY = StepPolicy()
 _DEFAULTS = {
     "epsilon": None,  # required
     "elasticity": {"isotropic": {}},
@@ -26,11 +27,12 @@ _DEFAULTS = {
         "sphere_azimuthal": 48,
         "line_order": 4,
     },
-    "stepping": {"c1": 0.1, "c2": 0.1, "dt_max": 1.0, "dt_min": 1e-12, "t_end": 1.0},
-    "remesh": {"h_min": 0.3, "h_max": 1.0},
-    "theta_max": 50.0,
-    "annihilation_kappa": 3.0,
-    "output": {"every": 10},
+    # the "stepping" and "remesh" keys are StepPolicy's field names
+    "stepping": {k: getattr(_POLICY, k) for k in ("c1", "c2", "dt_max", "dt_min", "t_end")},
+    "remesh": {k: getattr(_POLICY, k) for k in ("h_min", "h_max")},
+    "theta_max": _POLICY.theta_max,
+    "annihilation_kappa": _POLICY.kappa,
+    "output": {"every": _POLICY.snapshot_every},
 }
 
 
@@ -98,19 +100,13 @@ class SimulationConfig:
         return LineQuadratureRule(self.data["quadrature"]["line_order"])
 
     def step_policy(self):
-        s = self.data["stepping"]
-        r = self.data["remesh"]
+        d = self.data
         return StepPolicy(
-            c1=s["c1"],
-            c2=s["c2"],
-            dt_max=s["dt_max"],
-            dt_min=s["dt_min"],
-            t_end=s["t_end"],
-            h_min=r["h_min"],
-            h_max=r["h_max"],
-            theta_max=self.data["theta_max"],
-            kappa=self.data["annihilation_kappa"],
-            snapshot_every=self.data["output"]["every"],
+            **d["stepping"],
+            **d["remesh"],
+            theta_max=d["theta_max"],
+            kappa=d["annihilation_kappa"],
+            snapshot_every=d["output"]["every"],
         )
 
     def dump(self):

@@ -345,42 +345,35 @@ def _require_finite(phase, value, state):
         raise SolverError(f"non-finite {phase} at step {len(state.diagnostics)}")
 
 
-def _energy_force_velocity(state, ev, model, rule):
-    """Energy, gradient and velocity of the state's network; a non-finite
-    value stops the run, naming its phase and the step."""
-    net = state.network
-    energy, grad = energy_and_gradient(net, ev, rule)
-    _require_finite("energy", energy, state)
-    _require_finite("gradient", grad, state)
-    vf = solve_velocity(net, -grad / net.layout.lumped[:, None], model)
-    _require_finite("velocity", vf.v, state)
-    return energy, grad, vf
+def step(state, ev, model, rule, policy):
+    """One explicit step: force, velocity, dt, push, remesh, annihilate.
 
-
-def step(state, dt, ev, model, rule, policy, precomputed=None):
-    """One explicit step: force, velocity, push, remesh, annihilate.
-
-    Advances `state` in place and returns it: appends the step's
-    diagnostics row, logs its events and records termination.  dt may be
-    0, in which case only the row is appended.  The mass bound starts
-    from the first row's mass.  `precomputed` is (energy, grad, velocity
-    field) of the current network, as `run` already has them from
-    choosing dt.
+    Advances `state` in place and returns it: chooses dt from the
+    velocity, appends the step's diagnostics row, logs its events and
+    records termination.  A dt below policy.dt_min ends the run with no
+    row; a non-finite energy, gradient or velocity raises SolverError
+    naming its phase and the step.  The mass bound starts from the first
+    row's mass.
     """
     net = state.network
     eps = net.epsilon
-    if precomputed is None:
-        precomputed = _energy_force_velocity(state, ev, model, rule)
-    energy, grad, vf = precomputed
+    energy, grad = energy_and_gradient(net, ev, rule)
+    _require_finite("energy", energy, state)
+    _require_finite("gradient", grad, state)
     f_density = -grad / net.layout.lumped[:, None]
+    vf = solve_velocity(net, f_density, model)
+    _require_finite("velocity", vf.v, state)
+    dt = policy.choose_dt(eps, vf.v_inf, vf.dv_inf, policy.t_end - state.time)
+    if dt < policy.dt_min:
+        state.log_event("dt_floor", dt=dt)
+        state.termination = "dt_floor"
+        return state
     m_now = mass(net)
     theta = mass_ratio(net)
     rows = state.diagnostics
     mass_initial, prev_energy = (rows[0].mass, rows[-1].energy) if rows else (m_now, energy)
     f_inf = float(np.linalg.norm(f_density, axis=1).max())
-    r_ap, r_f, r_len, r_mass = _bound_ratios(
-        net, model, vf, f_inf, m_now, theta, state.time, mass_initial
-    )
+    r_ap, r_f, r_len, r_mass = _bound_ratios(net, model, vf, f_inf, m_now, theta, state.time, mass_initial)
     rows.append(
         DiagnosticsRow(
             t=state.time,
@@ -401,8 +394,6 @@ def step(state, dt, ev, model, rule, policy, precomputed=None):
     if theta > policy.theta_max:
         state.log_event("blowup", theta_hat=theta, theta_max=policy.theta_max)
         state.termination = "blowup"
-        return state
-    if dt == 0.0:
         return state
     moved = pushforward(net, dt * vf.v)
     state.time += dt
@@ -446,20 +437,12 @@ def run(network, ev, model, rule, policy, snapshot_cb=None):
         state.termination = "empty"
         state.log_event("empty_start")
         return state
-    while policy.t_end - state.time > policy.dt_min:
-        solved = _energy_force_velocity(state, ev, model, rule)
-        vf = solved[2]
-        dt = policy.choose_dt(network.epsilon, vf.v_inf, vf.dv_inf, policy.t_end - state.time)
-        if dt < policy.dt_min:
-            state.log_event("dt_floor", dt=dt)
-            state.termination = "dt_floor"
-            break
-        step(state, dt, ev, model, rule, policy, precomputed=solved)
+    while not state.termination and policy.t_end - state.time > policy.dt_min:
+        step(state, ev, model, rule, policy)
         istep = len(state.diagnostics)
-        if snapshot_cb is not None and istep % policy.snapshot_every == 0:
+        # a dt floor appends no row, so it takes no snapshot
+        if snapshot_cb is not None and state.termination != "dt_floor" and istep % policy.snapshot_every == 0:
             snapshot_cb(istep, state)
-        if state.termination:
-            break
     if not state.termination:
         state.termination = "t_end"
         state.log_event("t_end")
@@ -467,12 +450,12 @@ def run(network, ev, model, rule, policy, snapshot_cb=None):
 
 
 def bound_monitor(diagnostics):
-    """Maximum of each monitored bound ratio over a diagnostics record."""
+    """Maximum of each monitored bound ratio over a diagnostics record,
+    keyed by its `ratio_` column without the prefix."""
     if not diagnostics:
         raise ValueError("empty diagnostics record")
     return {
-        "ap_vel": max(r.ratio_ap_vel for r in diagnostics),
-        "pk_linf": max(r.ratio_pk_linf for r in diagnostics),
-        "length_rate": max(r.ratio_length_rate for r in diagnostics),
-        "mass": max(r.ratio_mass for r in diagnostics),
+        c.removeprefix("ratio_"): max(getattr(r, c) for r in diagnostics)
+        for c in DiagnosticsRow.COLUMNS
+        if c.startswith("ratio_")
     }

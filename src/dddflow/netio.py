@@ -40,6 +40,17 @@ def network_to_dict(network):
     }
 
 
+def _numbers(value, key):
+    """`value` if it is a JSON number or nested lists of them: strings and
+    booleans are rejected, as in the config."""
+    if isinstance(value, list):
+        for v in value:
+            _numbers(v, key)
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must hold JSON numbers only")
+    return value
+
+
 def network_from_dict(data):
     if not isinstance(data, dict) or data.get("format") != FORMAT_TAG:
         raise ConfigError(f"expected network format {FORMAT_TAG!r}")
@@ -47,15 +58,15 @@ def network_from_dict(data):
         if key not in ("format", "epsilon", "lattice", "loops"):
             raise ConfigError(f"unknown network key {key!r}")
     try:
-        lattice = Lattice(np.asarray(data["lattice"], dtype=float))
+        lattice = Lattice(np.asarray(_numbers(data["lattice"], "lattice"), dtype=float))
         loops = []
         for i, lp in enumerate(data["loops"]):
             try:
-                nodes = np.asarray(lp["nodes"], dtype=float)
-                loops.append(Loop(nodes, BurgersVector(lattice, lp["burgers"])))
+                nodes = np.asarray(_numbers(lp["nodes"], "nodes"), dtype=float)
+                loops.append(Loop(nodes, BurgersVector(lattice, _numbers(lp["burgers"], "burgers"))))
             except (KeyError, TypeError, ValueError, GeometryError) as exc:
                 raise ConfigError(f"malformed network: loop {i}: {exc}") from exc
-        return DislocationNetwork(lattice, loops, float(data["epsilon"]))
+        return DislocationNetwork(lattice, loops, float(_numbers(data["epsilon"], "epsilon")))
     except (KeyError, TypeError, ValueError, GeometryError) as exc:
         raise ConfigError(f"malformed network: {exc}") from exc
 

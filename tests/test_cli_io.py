@@ -10,6 +10,7 @@ from dddflow import kernels as KN
 from dddflow import shapes as SH
 from dddflow.config import load_config, loads_config
 from dddflow.errors import ConfigError, GeometryError
+from dddflow.evolution import StepPolicy
 
 
 def test_minimal_config_fills_defaults():
@@ -18,6 +19,8 @@ def test_minimal_config_fills_defaults():
     assert cfg.data["quadrature"]["sphere_polar"] == 24
     assert cfg.data["remesh"] == {"h_min": 0.3, "h_max": 1.0}
     assert cfg.data["mobility"]["isotropic"]["m"] == 1.0
+    # the run-policy defaults are StepPolicy's own
+    assert cfg.step_policy() == StepPolicy()
     # round trip through the canonical dump is the identity
     again = loads_config(cfg.dump())
     assert again.dump() == cfg.dump()
@@ -129,6 +132,30 @@ def test_network_format_validation(tmp_path):
         with pytest.raises(ConfigError, match=needle):
             netio.load_network(path)
         assert cli.main(["energy", "--input", str(path), "--config", str(cfgpath)]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("epsilon", lambda d: d.update(epsilon="0.1")),
+        ("epsilon", lambda d: d.update(epsilon=True)),
+        ("loop 0: 'nodes'", lambda d: d["loops"][0]["nodes"][1].__setitem__(0, "1")),
+        ("loop 0: 'burgers'", lambda d: d["loops"][0].update(burgers=[0, 0, True])),
+        ("lattice", lambda d: d["lattice"][2].__setitem__(2, "1")),
+    ],
+)
+def test_network_numbers_must_be_json_numbers(tmp_path, key, edit):
+    # strings and booleans where numbers belong are rejected, as in the config
+    data = {"format": "ddd-net/1", "epsilon": 0.1, "lattice": np.eye(3).tolist(),
+            "loops": [{"burgers": [0, 0, 1], "nodes": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]}]}
+    netio.network_from_dict(json.loads(json.dumps(data)))
+    edit(data)
+    with pytest.raises(ConfigError, match=f"{key}.* must hold JSON numbers only"):
+        netio.network_from_dict(json.loads(json.dumps(data)))
+    netpath, cfgpath = tmp_path / "net.json", tmp_path / "cfg.json"
+    netpath.write_text(json.dumps(data))
+    cfgpath.write_text('{"epsilon": 0.1}')
+    assert cli.main(["energy", "--input", str(netpath), "--config", str(cfgpath)]) == 2
 
 
 def test_diagnostics_csv_columns():
@@ -337,6 +364,13 @@ def test_cli_exit_codes(lat, tmp_path, monkeypatch):
         "--out-dir", str(outdir), "--fail-on-blowup",
     ])
     assert code == 4
+
+
+def test_cli_check_only_needs_a_name(monkeypatch):
+    # `--only` with no names is a usage error, not a request for every suite
+    monkeypatch.setattr(cli.checks, "run_checks", lambda **kw: pytest.fail("ran the suites"))
+    assert cli.main(["check", "--only"]) == 1
+    assert cli.main(["check", "--only", "--nphi-scale", "1.1"]) == 1
 
 
 def test_cli_check_degraded_configs(capsys):

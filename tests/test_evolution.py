@@ -275,20 +275,16 @@ def test_hairpin_rejected(lat):
         EV.solve_velocity(net, np.zeros((4, 3)), MODEL)
 
 
-def test_step_dt_zero(lat, ev01, rule2):
-    net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 48), 0.1)
-    state = EV.EvolutionState(time=0.0, network=net)
-    policy = EV.StepPolicy()
-    out = EV.step(state, 0.0, ev01, MODEL, rule2, policy)
-    assert out.time == 0.0
-    assert np.array_equal(out.network.loops[0].nodes, net.loops[0].nodes)
-    assert len(out.diagnostics) == 1
+def _fixed_dt(dt, **kw):
+    """A policy whose step bounds never bind, so every step takes dt."""
+    return EV.StepPolicy(dt_max=dt, c1=1e9, c2=1e9, **kw)
 
 
 def test_step_moves_inward_and_updates_diagnostics(lat, ev01, rule2):
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 48), 0.1)
     state = EV.EvolutionState(time=0.0, network=net)
-    out = EV.step(state, 0.01, ev01, MODEL, rule2, EV.StepPolicy())
+    out = EV.step(state, ev01, MODEL, rule2, _fixed_dt(0.01))
+    assert out.time == out.diagnostics[0].dt == 0.01
     r0 = np.linalg.norm(net.loops[0].nodes, axis=1).mean()
     r1 = np.linalg.norm(out.network.loops[0].nodes, axis=1).mean()
     assert r1 < r0
@@ -297,12 +293,11 @@ def test_step_moves_inward_and_updates_diagnostics(lat, ev01, rule2):
 
 
 def test_annihilation_event(lat, ev01, rule2):
-    tiny = SH.circle_loop(lat, 0.29 / (2 * np.pi) * 2 * np.pi, 12, center=(0, 0, 0))
     # loop length just below kappa*eps = 0.3
     tiny = SH.circle_loop(lat, 0.29 / (2 * np.pi), 12)
     net = SH.single_loop_network(tiny, 0.1)
     state = EV.EvolutionState(time=0.0, network=net)
-    out = EV.step(state, 1e-6, ev01, MODEL, rule2, EV.StepPolicy())
+    out = EV.step(state, ev01, MODEL, rule2, _fixed_dt(1e-6))
     kinds = [e["kind"] for e in out.events]
     assert "annihilation" in kinds
     assert out.termination == "annihilated"
@@ -312,8 +307,8 @@ def test_annihilation_event(lat, ev01, rule2):
 def test_blowup_detection(lat, ev01, rule2):
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 64), 0.1)
     state = EV.EvolutionState(time=0.0, network=net)
-    policy = EV.StepPolicy(theta_max=2.0)  # circle has theta ~ pi > 2
-    out = EV.step(state, 0.01, ev01, MODEL, rule2, policy)
+    policy = _fixed_dt(0.01, theta_max=2.0)  # circle has theta ~ pi > 2
+    out = EV.step(state, ev01, MODEL, rule2, policy)
     assert out.termination == "blowup"
     assert out.events[-1]["kind"] == "blowup"
 
@@ -466,7 +461,7 @@ def test_in_band_steps_advance_state_in_place_without_remesh(lat, ev01, rule2, m
     net = SH.single_loop_network(SH.circle_loop(lat, 1.0, 80), 0.1)
     net.layout  # built before counting
     state = EV.EvolutionState(time=0.0, network=net)
-    policy = EV.StepPolicy()
+    policy = _fixed_dt(0.01)
     builds = []
     real_init = GE.NodeLayout.__init__
 
@@ -475,8 +470,8 @@ def test_in_band_steps_advance_state_in_place_without_remesh(lat, ev01, rule2, m
         real_init(self, loops)
 
     monkeypatch.setattr(GE.NodeLayout, "__init__", counted)
-    assert EV.step(state, 0.01, ev01, MODEL, rule2, policy) is state
-    assert EV.step(state, 0.01, ev01, MODEL, rule2, policy) is state
+    assert EV.step(state, ev01, MODEL, rule2, policy) is state
+    assert EV.step(state, ev01, MODEL, rule2, policy) is state
     # the pushed-forward network is the next state: one layout per step
     assert len(builds) == 2
     assert len(state.diagnostics) == 2 and state.time == 0.01 + 0.01
@@ -484,18 +479,37 @@ def test_in_band_steps_advance_state_in_place_without_remesh(lat, ev01, rule2, m
     assert len(state.network.loops[0]) == 80
 
 
-def test_steps_by_hand_reproduce_the_run(lat, ev01, rule2):
-    # 64 nodes on R = 3 eps are closer than h_min, so the first step remeshes;
-    # the mass bound of every row starts from the first row's mass
-    net = SH.single_loop_network(SH.circle_loop(lat, 0.3, 64), 0.1)
-    policy = EV.StepPolicy(t_end=0.2, dt_max=0.05)
-    ran = EV.run(net, ev01, MODEL, rule2, policy)
-    assert len(ran.diagnostics) > 2 and ran.events[0]["kind"] == "remesh"
+@pytest.mark.parametrize(
+    "radius, n, policy",
+    [
+        # 64 nodes on R = 3 eps are closer than h_min, so the first step
+        # remeshes; the mass bound of every row starts from the first row's mass
+        pytest.param(0.3, 64, EV.StepPolicy(t_end=0.2, dt_max=0.05, snapshot_every=1), id="t_end"),
+        # a loop just shorter than kappa * eps
+        pytest.param(0.29 / (2 * np.pi), 12, EV.StepPolicy(snapshot_every=1), id="annihilated"),
+        pytest.param(1.0, 48, EV.StepPolicy(theta_max=2.0, snapshot_every=1), id="blowup"),
+        pytest.param(1.0, 48, EV.StepPolicy(t_end=1e9, dt_max=0.5, dt_min=1.0, snapshot_every=1), id="dt_floor"),
+    ],
+)
+def test_run_is_a_loop_of_steps(lat, ev01, rule2, request, radius, n, policy):
+    end = request.node.callspec.id
+    net = SH.single_loop_network(SH.circle_loop(lat, radius, n), 0.1)
+    snapshots = []
+    ran = EV.run(net, ev01, MODEL, rule2, policy, snapshot_cb=lambda istep, st: snapshots.append(istep))
+    assert ran.termination == end
     hand = EV.EvolutionState(time=0.0, network=net)
-    for row in ran.diagnostics:
-        hand = EV.step(hand, row.dt, ev01, MODEL, rule2, policy)
+    while not hand.termination and policy.t_end - hand.time > policy.dt_min:
+        assert EV.step(hand, ev01, MODEL, rule2, policy) is hand
     assert netio.diagnostics_csv(hand.diagnostics) == netio.diagnostics_csv(ran.diagnostics)
-    assert hand.events == ran.events[:-1] and ran.events[-1]["kind"] == "t_end"
+    # every step that appends a row takes a snapshot, a dt floor none
+    assert snapshots == list(range(1, len(ran.diagnostics) + 1))
+    if end == "t_end":
+        assert len(ran.diagnostics) > 2 and ran.events[0]["kind"] == "remesh"
+        assert hand.events == ran.events[:-1] and ran.events[-1]["kind"] == "t_end"
+    else:
+        assert hand.events == ran.events and hand.termination == end
+    if end == "dt_floor":
+        assert ran.diagnostics == [] and [e["kind"] for e in ran.events] == ["dt_floor"]
 
 
 def test_non_finite_energy_stops_the_run(lat, ev01, rule2, tmp_path, monkeypatch):

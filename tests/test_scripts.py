@@ -2,7 +2,6 @@
 calibrates, the benchmark entry on synthetic result files, and the step
 profile on a small circle."""
 
-import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -44,12 +43,16 @@ def test_calibrate_bounds_ratios_are_the_monitored_ratios(lat):
     ratios = script.step_ratios(state, ev, model, rule, policy)
     (stepped,) = state.diagnostics
     assert state.time == stepped.dt > 0
-    row = EV.step(EV.EvolutionState(time=0.0, network=net), 0.0, ev, model, rule, policy).diagnostics[-1]
-    assert dataclasses.replace(stepped, dt=0.0) == row
+    (row,) = EV.step(EV.EvolutionState(time=0.0, network=net), ev, model, rule, policy).diagnostics
+    assert stepped == row
     assert ratios["ap_vel"] == row.ratio_ap_vel * BOUND_CONSTANTS["ap_vel"]
     assert ratios["length_rate"] == row.ratio_length_rate * BOUND_CONSTANTS["length_rate"]
     assert ratios["pk_linf"] >= row.ratio_pk_linf * BOUND_CONSTANTS["pk_linf"]
     assert set(ratios) == {"pk_linf", "pk_l2", "ap_vel", "length_rate"}
+    # a dt floor appends no row, so the step gives no ratios
+    floored = EV.EvolutionState(time=0.0, network=net)
+    assert script.step_ratios(floored, ev, model, rule, EV.StepPolicy(dt_min=1.0)) == {}
+    assert floored.termination == "dt_floor" and floored.diagnostics == []
 
 
 def _result(workload, seed, trace, metrics, rev, failed=0, detail=None):
