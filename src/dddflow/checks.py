@@ -37,11 +37,7 @@ def _evaluator(eps=1.0, n_polar=24, n_azimuthal=48, overrides=None):
     n_azimuthal = overrides.get("sphere_azimuthal", n_azimuthal)
     C = EL.make_isotropic(1.0, 1.0)
     rule = KN.SphericalQuadrature.product_rule(n_polar, n_azimuthal)
-    ev = KN.KernelEvaluator(C, KN.MollifierProfile(eps), rule)
-    scale = overrides.get("nphi_scale", 1.0)
-    if scale != 1.0:
-        ev.fk = ev.fk * scale
-    return ev
+    return KN.KernelEvaluator(C, KN.MollifierProfile(eps), rule, overrides.get("nphi_scale", 1.0))
 
 
 def _random_points(rng, n, r_lo, r_hi):
@@ -83,8 +79,8 @@ def check_decay_scaling(overrides=None):
     ev = _evaluator(overrides=overrides)
     details = []
     ok = True
-    for m, j in ((0, 0), (1, 0), (1, 1), (2, 0)):
-        rep = KN.decay_bound_scan(ev, m, j, n_radii=25)
+    for rep in KN.decay_bound_scan(ev, [(0, 0), (1, 0), (1, 1), (2, 0)], n_radii=25):
+        m, j = rep.m, rep.j
         want = -(m - j + 1) + 0.1
         good = rep.slope <= want and np.isfinite(rep.constant)
         ok = ok and good
@@ -336,11 +332,11 @@ def check_kernel_self_convergence(overrides=None):
     pts = _random_points(rng, 12, 0.0, 20.0)
     n_polar = overrides.get("sphere_polar", KN.polar_order_for(20.0))
     n_az = overrides.get("sphere_azimuthal", 2 * n_polar)
-    ev1 = _evaluator(eps=eps, n_polar=n_polar, n_azimuthal=n_az)
-    ev2 = _evaluator(eps=eps, n_polar=2 * n_polar, n_azimuthal=2 * n_az)
-    scale = overrides.get("nphi_scale", 1.0)
+    scale_only = {"nphi_scale": overrides.get("nphi_scale", 1.0)}
+    ev1 = _evaluator(eps=eps, n_polar=n_polar, n_azimuthal=n_az, overrides=scale_only)
+    ev2 = _evaluator(eps=eps, n_polar=2 * n_polar, n_azimuthal=2 * n_az, overrides=scale_only)
     worst = 0.0
-    for k1, k2 in zip(KN.sphere_sum(ev1, pts) * scale, KN.sphere_sum(ev2, pts) * scale):
+    for k1, k2 in zip(KN.sphere_sum(ev1, pts), KN.sphere_sum(ev2, pts)):
         worst = max(worst, np.abs(k1 - k2).max() / max(np.abs(k2).max(), 1e-300))
     return worst <= 1e-9, f"order-doubling change {worst:.2e} (tol 1e-9, base order {n_polar})"
 
@@ -363,7 +359,7 @@ CHECK_NAMES = [name for name, _ in CHECKS]
 
 
 def run_checks(names=None, overrides=None):
-    selected = names or CHECK_NAMES
+    selected = CHECK_NAMES if names is None else names
     results = []
     for name, fn in CHECKS:
         if name not in selected:

@@ -226,16 +226,18 @@ class KernelEvaluator:
     node (FK has rank 5 and FJ rank 3 on the stiffnesses in use), so that
     kernel sums correlate fewer than 9 density channels; each is built on
     the first sweep against its factor, not with the evaluator.
+    `fk_scale` multiplies the K factor (the checks' `--nphi-scale`).
     """
 
-    def __init__(self, elasticity, profile, quadrature=None):
+    def __init__(self, elasticity, profile, quadrature=None, fk_scale=1.0):
         if quadrature is None:
             quadrature = SphericalQuadrature.product_rule()
         self.elasticity = elasticity
         self.profile = profile
         self.nodes = quadrature.nodes
         self.weights = quadrature.weights
-        self.fk = _k_factor_stack(elasticity, self.nodes)
+        self.fk_scale = fk_scale
+        self.fk = fk_scale * _k_factor_stack(elasticity, self.nodes)
         self.fk.setflags(write=False)
 
     # built on first use: J only by surface energies, the ranges by sweeps
@@ -286,15 +288,10 @@ class DecayCheckReport:
     constant: float
     slope: float
 
-    def __repr__(self):
-        return (
-            f"DecayCheckReport(m={self.m}, j={self.j}, C={self.constant:.3e}, "
-            f"slope={self.slope:.3f})"
-        )
 
-
-def decay_bound_scan(ev, m, j, n_radii=40):
-    """Scan |D^m K(s)[v_1..v_j, s_hat..s_hat]| over the far field.
+def decay_bound_scan(ev, orders, n_radii=40):
+    """Scan |D^m K(s)[v_1..v_j, s_hat..s_hat]| over the far field, one
+    DecayCheckReport per (m, j) in `orders`.
 
     Uses log-spaced radii over [1e-2, 1e3] * eps along 26
     directions, with j random tangential unit vectors per direction, and
@@ -302,37 +299,41 @@ def decay_bound_scan(ev, m, j, n_radii=40):
     every radius.  Reports the supremum of the decay-bound ratio and the
     fitted log-log slope over |s| >= 10 eps.
     """
-    if m not in (0, 1, 2) or not 0 <= j <= m:
-        raise ValueError("need m in {0,1,2} and 0 <= j <= m")
+    for m, j in orders:
+        if m not in (0, 1, 2) or not 0 <= j <= m:
+            raise ValueError("need m in {0,1,2} and 0 <= j <= m")
     eps = ev.epsilon
-    rng = np.random.default_rng(0)
+    rngs = [np.random.default_rng(0) for _ in orders]
     radii = np.geomspace(1e-2 * eps, 1e3 * eps, n_radii)
-    best_ratio = 0.0
-    by_radius = np.zeros(len(radii))
+    best_ratio = np.zeros(len(orders))
+    by_radius = np.zeros((len(orders), len(radii)))
     for d in UNIT_COMBINATIONS / np.linalg.norm(UNIT_COMBINATIONS, axis=1)[:, None]:
         e1, e2 = _rotation_to(d)[:, :2].T
-        th = rng.uniform(0.0, 2.0 * np.pi, size=max(j, 1))
-        tangentials = [np.cos(a) * e1 + np.sin(a) * e2 for a in th[:j]]
-        # one adapted rule per radius octave
-        buckets = {}
+        dirs = []
+        for rng, (m, j) in zip(rngs, orders):
+            th = rng.uniform(0.0, 2.0 * np.pi, size=max(j, 1))
+            dirs.append([np.cos(a) * e1 + np.sin(a) * e2 for a in th[:j]] + [d] * (m - j))
+        # one adapted rule per radius octave; the radii ascend
+        octave = None
         for ridx, r in enumerate(radii):
             key = int(np.floor(np.log2(max(r / eps, 1.0))))
-            if key not in buckets:
+            if key != octave:
+                octave = key
                 u_core = min(1.0, 20.0 * eps / (eps * 2.0**key))
                 rule = SphericalQuadrature.equator_refined(d, u_core)
-                buckets[key] = KernelEvaluator(ev.elasticity, ev.profile, rule)
-            evr = buckets[key]
-            s = r * d
-            dirs = tangentials + [d] * (m - j)
-            val = np.abs(sphere_sum(evr, s, m, directions=dirs)).max()
-            denom = np.sqrt(eps ** (2 * m + 2) + eps ** (2 * j) * r ** (2 * m + 2 - 2 * j))
-            best_ratio = max(best_ratio, val * denom)
-            by_radius[ridx] = max(by_radius[ridx], val)
-    fit_mask = radii >= 10.0 * eps
-    lr = np.log(radii[fit_mask])
-    lv = np.log(np.maximum(by_radius[fit_mask], 1e-300))
-    slope = float(np.polyfit(lr, lv, 1)[0])
-    return DecayCheckReport(m, j, float(best_ratio), slope)
+                evr = KernelEvaluator(ev.elasticity, ev.profile, rule, ev.fk_scale)
+            for k, (m, j) in enumerate(orders):
+                val = np.abs(sphere_sum(evr, r * d, m, directions=dirs[k])).max()
+                denom = np.sqrt(eps ** (2 * m + 2) + eps ** (2 * j) * r ** (2 * m + 2 - 2 * j))
+                best_ratio[k] = max(best_ratio[k], val * denom)
+                by_radius[k, ridx] = max(by_radius[k, ridx], val)
+    fit = radii >= 10.0 * eps
+    lr = np.log(radii[fit])
+    reports = []
+    for (m, j), c, v in zip(orders, best_ratio, by_radius):
+        slope = float(np.polyfit(lr, np.log(np.maximum(v[fit], 1e-300)), 1)[0])
+        reports.append(DecayCheckReport(m, j, float(c), slope))
+    return reports
 
 
 # ----------------------------------------------------------------------

@@ -373,6 +373,18 @@ def test_cli_check_only_needs_a_name(monkeypatch):
     assert cli.main(["check", "--only", "--nphi-scale", "1.1"]) == 1
 
 
+def test_run_checks_empty_names_runs_none():
+    assert cli.checks.run_checks(names=[]) == []
+
+
+def test_nphi_scale_is_built_into_the_evaluator():
+    plain = cli.checks._evaluator()
+    scaled = cli.checks._evaluator(overrides={"nphi_scale": 1.1})
+    assert scaled.fk_scale == 1.1
+    assert not scaled.fk.flags.writeable
+    assert np.array_equal(scaled.fk, 1.1 * plain.fk)
+
+
 def test_cli_check_degraded_configs(capsys):
     # a deliberately broken profile amplitude must fail the oracle suite
     code = cli.main(["check", "--only", "kernel_self_convergence", "--sphere-polar", "4"])

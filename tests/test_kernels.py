@@ -266,12 +266,21 @@ def test_far_field_decay_factor(iso11):
     assert 40.0 / 3.0 <= ratio <= 40.0 * 3.0
 
 
-def test_decay_scan_smoke(ev_unit):
-    rep = KN.decay_bound_scan(ev_unit, 0, 0, n_radii=12)
+def test_decay_scan_smoke(iso11, ev_unit):
+    orders = [(0, 0), (1, 1)]
+    reps = KN.decay_bound_scan(ev_unit, orders, n_radii=12)
+    assert [(rep.m, rep.j) for rep in reps] == orders
+    rep = reps[0]
     assert np.isfinite(rep.constant)
     assert rep.slope <= -0.9
     assert repr(rep).startswith("DecayCheckReport")
     assert [f.name for f in dataclasses.fields(rep)] == ["m", "j", "constant", "slope"]
+    # the K factor's scale reaches every evaluator the scan builds, and an
+    # order scanned alone draws the same tangentials as among others
+    doubled = KN.KernelEvaluator(iso11, ev_unit.profile, fk_scale=2.0)
+    (rep2,) = KN.decay_bound_scan(doubled, orders[1:], n_radii=12)
+    assert rep2.constant == pytest.approx(2.0 * reps[1].constant, rel=1e-12)
+    assert rep2.slope == pytest.approx(reps[1].slope, rel=1e-12)
 
 
 def test_self_convergence_rule(iso11):
