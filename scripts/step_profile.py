@@ -9,9 +9,11 @@ ratio theta-hat and the rest of the step (push-forward, remesh,
 annihilation, diagnostics; no snapshot is written).  Prints one JSON
 object: each step's node count and seconds per phase, and per phase the
 least-squares intercept and slope of its seconds against the node count,
-so the fixed per-step cost shows apart from the cost per node.  Wall
-clock (`time.perf_counter`) in one process; pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1) to match the benchmark.
+so the fixed per-step cost shows apart from the cost per node, and
+`rule_axis`, the axis the run turned its sphere rule to (null if it kept
+the configured rule), which tells whether its sweeps paired mirror
+nodes.  Wall clock (`time.perf_counter`) in one process; pin BLAS to one
+thread (OPENBLAS_NUM_THREADS=1) to match the benchmark.
 """
 
 import argparse
@@ -88,6 +90,7 @@ def profile(net_dict, cfg_dict):
     n = [s["n_nodes"] for s in steps]
     return {
         "termination": state.termination,
+        "rule_axis": next((e["axis"] for e in state.events if e["kind"] == "rule_aligned"), None),
         "n_steps": len(steps),
         "total_s": sum(s[p] for s in steps for p in PHASES),
         "fit": {p: fit(n, [s[p] for s in steps]) for p in PHASES},

@@ -14,7 +14,9 @@ on a uniform grid by FFT at linear cost in the point count, and `_sweep`
 contracts it with the node's factor into the weighted sphere sum.  The
 densities are correlated in the narrower of their own basis and the
 range of the node's factor.  Sphere nodes are processed in equal chunks
-sized by a memory budget, summed in index order.
+sized by a memory budget, summed in index order.  A cloud flat along the
+rule's axis correlates only one node of each mirror pair (z, z*), whose
+projections differ only in sign, with the pair's factors combined.
 """
 
 import functools
@@ -100,6 +102,11 @@ KERNEL_HALF = int(np.ceil(KERNEL_CUT / GRID_STEP))
 # small cloud sweeps every sphere node at once.  At 8 MB the slip energy
 # of two 2592-point disks peaked 50 MB higher.
 CHUNK_BUDGET = 1 << 18
+# Out-of-plane spread, in units of eps, below which a cloud counts as flat
+# along the rule's axis and mirror sphere nodes share one correlation.  A
+# spread d shifts each mirrored difference by at most 2d, an error of
+# about d/eps relative: 1e-10 stays 20x under the spline's 2.3e-9.
+FLAT = 1e-10
 # Quintic B-spline weights on taps i0 - 2 .. i0 + 3 of a point at grid
 # coordinate i0 + f: row p holds the coefficients of f^p.
 _QUINTIC = np.array([
@@ -248,14 +255,20 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
     correlation of group n's densities only, with n_groups = group.max()
     + 1 (one group without labels).  The sphere nodes are split into as
     few equal chunks as CHUNK_BUDGET allows, added in index order; their
-    count follows from the network's extent and size only."""
+    count follows from the network's extent and size only.  If the cloud
+    is within FLAT eps of a plane normal to a mirrored rule's axis, only
+    the nodes k < mirror[k] are swept, each with F[k] + (-1)^order
+    F[mirror[k]] on the densities' own basis."""
+    cloud = src if dst is None or dst is src else np.concatenate((src, dst))
+    paired = ev.mirror is not None and np.ptp(cloud @ ev.axis) <= FLAT * ev.epsilon
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
     # single loop): each node P[k] (9, r) holds that basis, on which they
     # are projected once, or the range of its factor where that is narrower
+    # (not when paired: mirror nodes must share the basis)
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
     n_sphere = len(ev.weights)
-    if V is not None and V.shape[2] < len(basis):
+    if V is not None and V.shape[2] < len(basis) and not paired:
         P, own = V, None
     else:
         P, own = np.broadcast_to(basis.T, (n_sphere,) + basis.T.shape), src_a @ basis.T
@@ -272,10 +285,16 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
         factors = [(PtF * W[:, None, :, None]).reshape(len(W), r, -1) for _, W in terms]
         sums = [np.zeros((len(dst), W.shape[1], F.shape[2])) for _, W in terms]
     orders = [order for order, _ in terms]
+    nodes = ev.nodes
+    if paired:
+        # a flat cloud projects alike on z and its mirror z*, up to the
+        # sign of every difference: one correlation serves both nodes
+        keep = np.flatnonzero(np.arange(n_sphere) < ev.mirror)
+        nodes, n_sphere = nodes[keep], len(keep)
+        factors = [f[keep] + (-1) ** o * f[ev.mirror[keep]] for f, o in zip(factors, orders)]
     # the cloud's diameter bounds its extent along every z, so that the
     # projections are made per chunk: all of them at once held 24 MB for
     # the slip energy of two 2592-point disks on the 24x48 rule
-    cloud = src if dst is None or dst is src else np.concatenate((src, dst))
     span = 2.0 * float(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1).max())
     n_points = len(src) + (0 if dst is None else len(dst))
     grid = span / (GRID_STEP * ev.epsilon)
@@ -284,9 +303,9 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
         (12 + n_groups * r) * n_points,
     )
     n_chunks = int(np.ceil(n_sphere / max(1, CHUNK_BUDGET // per_node)))
-    for nodes in np.array_split(np.arange(n_sphere), n_chunks):
-        lo, hi = nodes[0], nodes[-1] + 1
-        ts = src @ ev.nodes[lo:hi].T
+    for chunk in np.array_split(np.arange(n_sphere), n_chunks):
+        lo, hi = chunk[0], chunk[-1] + 1
+        ts = src @ nodes[lo:hi].T
         # one gemm per chunk in the ranges; the own-basis projection is
         # repeated per node (copying it broadcast took 10x as long)
         if own is None:
@@ -302,7 +321,7 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
                 for c in _correlate(ev, orders, ts, a, None)
             ]
         else:
-            td = ts if dst is src else dst @ ev.nodes[lo:hi].T
+            td = ts if dst is src else dst @ nodes[lo:hi].T
             corr = _correlate(ev, orders, ts, a, td)
         for acc, c, f in zip(sums, corr, factors):
             rows = c.reshape(-1, (hi - lo) * f.shape[1])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .calibration import BOUND_CONSTANTS
-from .energy_force import energy_and_gradient
+from .energy_force import FLAT, energy_and_gradient
 from .errors import SolverError
 from .geometry import mass, mass_ratio, pushforward, remesh
 from .mobility import drag_matrix
@@ -430,13 +430,22 @@ def _keep_freed_heap():
 
 
 def run(network, ev, model, rule, policy, snapshot_cb=None):
-    """March the network until t_end, annihilation, blow-up or dt floor."""
+    """March the network until t_end, annihilation, blow-up or dt floor.
+
+    A network whose nodes lie within FLAT eps of a plane that is not
+    already normal to the rule's axis runs on the rule turned to that
+    plane (one `rule_aligned` event), so its sweeps pair mirror nodes."""
     _keep_freed_heap()
     state = EvolutionState(time=0.0, network=network)
     if network.is_empty():
         state.termination = "empty"
         state.log_event("empty_start")
         return state
+    nodes, flat = network.layout.nodes, FLAT * network.epsilon
+    normal = np.linalg.svd(nodes - nodes.mean(axis=0), full_matrices=False)[2][-1]
+    if ev.mirror is not None and np.ptp(nodes @ normal) <= flat < np.ptp(nodes @ ev.axis):
+        ev = ev.aligned(normal)
+        state.log_event("rule_aligned", axis=ev.axis.tolist())
     while not state.termination and policy.t_end - state.time > policy.dt_min:
         step(state, ev, model, rule, policy)
         istep = len(state.diagnostics)

@@ -78,11 +78,15 @@ class SphericalQuadrature:
     with doubled weights; it integrates even integrands exactly as the
     full rule does, and makes the evenness of the kernels in s exact in
     floating point.  All kernel integrands here are even.
+
+    `mirror` is None or each node's partner under the half turn about
+    the unit `axis` (a product rule's node at phi + pi), as an index array.
     """
 
-    def __init__(self, nodes, weights):
+    def __init__(self, nodes, weights, axis=None, mirror=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.weights = np.ascontiguousarray(weights, dtype=float)
+        self.axis, self.mirror = axis, mirror
         if self.nodes.shape != (len(self.weights), 3):
             raise ValueError("nodes/weights shape mismatch")
 
@@ -99,7 +103,9 @@ class SphericalQuadrature:
         if hemisphere:
             keep = x > 0
             x, w = x[keep], 2.0 * w[keep]
-        return cls(*_azimuthal_product(x, w, n_azimuthal))
+        k, half = np.arange(len(x) * n_azimuthal), n_azimuthal // 2
+        mirror = k - k % n_azimuthal + (k + half) % n_azimuthal if n_azimuthal % 2 == 0 else None
+        return cls(*_azimuthal_product(x, w, n_azimuthal), np.array([0.0, 0.0, 1.0]), mirror)
 
     @classmethod
     def equator_refined(cls, axis, u_core):
@@ -227,6 +233,7 @@ class KernelEvaluator:
     kernel sums correlate fewer than 9 density channels; each is built on
     the first sweep against its factor, not with the evaluator.
     `fk_scale` multiplies the K factor (the checks' `--nphi-scale`).
+    `axis` and `mirror` are the rule's (see SphericalQuadrature).
     """
 
     def __init__(self, elasticity, profile, quadrature=None, fk_scale=1.0):
@@ -236,6 +243,7 @@ class KernelEvaluator:
         self.profile = profile
         self.nodes = quadrature.nodes
         self.weights = quadrature.weights
+        self.axis, self.mirror = quadrature.axis, quadrature.mirror
         self.fk_scale = fk_scale
         self.fk = fk_scale * _k_factor_stack(elasticity, self.nodes)
         self.fk.setflags(write=False)
@@ -258,6 +266,14 @@ class KernelEvaluator:
     @property
     def epsilon(self):
         return self.profile.epsilon
+
+    def aligned(self, normal):
+        """The same evaluator on its rule turned so that its axis is the
+        unit `normal`; the mirror pairs turn with it."""
+        axis = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
+        R = _rotation_to(axis) @ _rotation_to(self.axis).T
+        turned = SphericalQuadrature(self.nodes @ R.T, self.weights, axis, self.mirror)
+        return KernelEvaluator(self.elasticity, self.profile, turned, self.fk_scale)
 
 
 def sphere_sum(ev, S, order=0, factor=None, directions=None):

@@ -140,11 +140,20 @@ def test_full_reach_spectrum_is_unchanged(nfft):
         assert np.array_equal(EF._kernel_spectrum(eps, order, nfft, HALF), want)
 
 
-@pytest.mark.parametrize("n_nodes, radius, chunks", [(10, 0.1, [256]), (128, 1.0, [32] * 8)])
+def _tilted(net, angle=0.3):
+    """The network turned by `angle` about the x axis, off the xy plane."""
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return GE.DislocationNetwork(net.lattice, [GE.Loop(lp.nodes @ R.T, lp.burgers) for lp in net.loops], net.epsilon)
+
+
+# chunks: the plan of the loop tilted off the rule's axis, then of the
+# flat loop, which sweeps one node of each of the 128 mirror pairs
+@pytest.mark.parametrize("n_nodes, radius, chunks", [(10, 0.1, ([256], [128])), (128, 1.0, ([32] * 8, [32] * 4))])
 def test_sweep_sizes_chunks_and_grids_by_the_cloud(lat, iso11, monkeypatch, n_nodes, radius, chunks):
     # the shrink run's rule at its start (R = 10 eps) and near its end (R = eps)
     ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.1), KN.SphericalQuadrature.product_rule(16, 32))
-    net = SH.single_loop_network(SH.circle_loop(lat, radius, n_nodes), 0.1)
+    flat = SH.single_loop_network(SH.circle_loop(lat, radius, n_nodes), 0.1)
     sizes, grids = [], []
     correlate, spline = EF._correlate, EF._spline_matrix
 
@@ -158,9 +167,97 @@ def test_sweep_sizes_chunks_and_grids_by_the_cloud(lat, iso11, monkeypatch, n_no
 
     monkeypatch.setattr(EF, "_correlate", spy_correlate)
     monkeypatch.setattr(EF, "_spline_matrix", spy_spline)
-    EF.energy_and_gradient(net, ev, EF.LineQuadratureRule(2))
-    assert sizes == chunks
-    assert (max(grids) < 2 * HALF + 1) == (n_nodes == 10)
+    for net, plan in zip((_tilted(flat), flat), chunks):
+        sizes.clear()
+        grids.clear()
+        EF.energy_and_gradient(net, ev, EF.LineQuadratureRule(2))
+        assert sizes == plan
+        assert (max(grids) < 2 * HALF + 1) == (n_nodes == 10)
+
+
+def _unpaired(ev):
+    """The evaluator on the same rule without its mirror pairs."""
+    rule = KN.SphericalQuadrature(ev.nodes, ev.weights)
+    return KN.KernelEvaluator(ev.elasticity, ev.profile, rule, ev.fk_scale)
+
+
+def _line_outputs(net, ev, rule):
+    energy, grad = EF.energy_and_gradient(net, ev, rule)
+    field = EF.pk_force(net, ev, rule)
+    surfaces = [GE.make_planar_surface(lp) for lp in net.loops]
+    return {
+        "energy": energy,
+        "gradient": grad,
+        "G": field.G,
+        "density": field.density,
+        "energy_line": EF.energy_line(net, ev, rule).matrix,
+        "energy_surface": EF.energy_surface(surfaces, ev),
+    }
+
+
+def _assert_pairing_exact(net, ev, monkeypatch):
+    """A flat network's paired sums equal the unpaired ones on the same
+    rule within 1e-8 relative, each sweep correlating half the nodes."""
+    swept, correlate = [], EF._correlate
+
+    def spy(ev, orders, src_t, src_a, dst_t):
+        swept.append(src_t.shape[1])
+        return correlate(ev, orders, src_t, src_a, dst_t)
+
+    for order in (2, 4):
+        rule = EF.LineQuadratureRule(order)
+        with monkeypatch.context() as m:
+            m.setattr(EF, "_correlate", spy)
+            paired = _line_outputs(net, ev, rule)
+        # four sweeps, each over one node of every mirror pair
+        assert sum(swept) == 4 * len(ev.weights) // 2
+        swept.clear()
+        want = _line_outputs(net, _unpaired(ev), rule)
+        for key, value in paired.items():
+            err = np.abs(value - want[key]).max() / np.abs(want[key]).max()
+            assert err <= 1e-8, (key, order, err)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("burgers", [(0, 0, 1), (1, 0, 0)], ids=["prismatic", "glide"])
+@pytest.mark.parametrize("n_nodes", [7, 12, 128, 256])
+def test_flat_loop_sweeps_one_node_per_mirror_pair(lat, iso11, monkeypatch, n_nodes, burgers):
+    eps = 0.1
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(eps), KN.SphericalQuadrature.product_rule(16, 32))
+    loop = SH.circle_loop(lat, n_nodes * 0.5 * eps / (2.0 * np.pi), n_nodes, burgers=burgers)
+    _assert_pairing_exact(SH.single_loop_network(loop, eps), ev, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_coplanar_loops_pair_on_their_own_basis(lat, monkeypatch):
+    # three Burgers vectors on in-plane tangents span 6 channels, more than
+    # the 5 of FK's range: the paired path keeps the densities' own basis
+    eps = 0.1
+    c = EL.make_isotropic(1.0, 1.0).c.copy()
+    for n in range(3):
+        c[n, n, n, n] += 0.6  # cubic: C11 - C12 - 2 C44 = 0.6
+    ev = KN.KernelEvaluator(EL.ElasticityTensor(c), KN.MollifierProfile(eps), KN.SphericalQuadrature.product_rule(16, 32))
+    loops = [
+        SH.circle_loop(lat, 0.3, 24, burgers=b, center=(0.8 * k, 0.3 * (k % 2), 0.0))
+        for k, b in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    ]
+    net = GE.DislocationNetwork(lat, loops, eps)
+    assert np.linalg.matrix_rank(EF._gauss_cloud(net, EF.LineQuadratureRule(2))[1]) == 6
+    assert ev.fk_range.shape[2] == 5
+    _assert_pairing_exact(net, ev, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_loop_off_its_plane_takes_the_unpaired_path(lat, iso11):
+    eps = 0.1
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(eps), KN.SphericalQuadrature.product_rule(16, 32))
+    loop = SH.circle_loop(lat, 0.6, 64)
+    nodes = loop.nodes.copy()
+    nodes[5, 2] += 10 * EF.FLAT * eps
+    net = SH.single_loop_network(GE.Loop(nodes, loop.burgers), eps)
+    rule = EF.LineQuadratureRule(2)
+    got, want = _line_outputs(net, ev, rule), _line_outputs(net, _unpaired(ev), rule)
+    assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
 def test_energy_positive_and_translation_invariant(three_loop_net, ev_quarter, rule4):

@@ -1,8 +1,12 @@
+import dataclasses
+import importlib.util
+import json
 import math
 import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from dddflow import evolution as EV
 from dddflow import geometry as GE
 from dddflow import kernels as KN
 from dddflow import mobility as MB
-from dddflow import cli, netio
+from dddflow import cli, config, netio
 from dddflow import shapes as SH
 from dddflow.errors import SolverError
 from mobility_reference import drag_pair
@@ -510,6 +514,51 @@ def test_run_is_a_loop_of_steps(lat, ev01, rule2, request, radius, n, policy):
         assert hand.events == ran.events and hand.termination == end
     if end == "dt_floor":
         assert ran.diagnostics == [] and [e["kind"] for e in ran.events] == ["dt_floor"]
+
+
+def _shrink_circle(seed):
+    """The benchmark's shrink loop (128 nodes in a randomly turned plane),
+    built by the generator in perfbench/workloads.py, to a short t_end."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    net, cfg, _ = module.shrink_circle(seed)
+    cfg["stepping"]["t_end"] = 2.0
+    return netio.network_from_dict(net), config.loads_config(json.dumps(cfg))
+
+
+def test_run_turns_the_rule_to_a_planar_network():
+    first = []
+    for seed in (2701, 3):
+        net, cfg = _shrink_circle(seed)
+        nodes = net.layout.nodes
+        centre = nodes.mean(axis=0)
+        normal = np.linalg.svd(nodes - centre)[2][-1]
+        ev, flat = cfg.kernel_evaluator(), EF.FLAT * net.epsilon
+        assert np.ptp(nodes @ ev.axis) > flat
+        off_plane = []
+
+        def record(istep, st):
+            off_plane.append(np.abs((st.network.layout.nodes - centre) @ normal).max())
+
+        policy = dataclasses.replace(cfg.step_policy(), snapshot_every=1)
+        state = EV.run(net, ev, cfg.mobility_model(), cfg.line_rule(), policy, snapshot_cb=record)
+        aligned = [e for e in state.events if e["kind"] == "rule_aligned"]
+        assert len(aligned) == 1 and aligned[0]["t"] == 0.0
+        assert abs(np.dot(aligned[0]["axis"], normal)) >= 1.0 - 1e-15
+        assert len(off_plane) == len(state.diagnostics) > 5 and max(off_plane) <= flat
+        first.append(state.diagnostics[0].energy)
+    # the lattice turns with the loop and the rule turns to its plane, so the
+    # seeds differ only in the rule's phase about the normal
+    assert abs(first[0] - first[1]) <= 1e-9 * abs(first[0])
+
+
+def test_run_keeps_the_rule_of_a_network_normal_to_its_axis(lat, ev01, rule2):
+    net = SH.single_loop_network(SH.circle_loop(lat, 0.3, 24), 0.1)
+    state = EV.run(net, ev01, MODEL, rule2, EV.StepPolicy(t_end=0.05, dt_max=0.01))
+    assert state.termination == "t_end"
+    assert not any(e["kind"] == "rule_aligned" for e in state.events)
 
 
 def test_non_finite_energy_stops_the_run(lat, ev01, rule2, tmp_path, monkeypatch):

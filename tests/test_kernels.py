@@ -111,6 +111,42 @@ def test_hemisphere_matches_full_rule_on_even_integrands(rng):
     assert a == pytest.approx(b, rel=1e-13)
 
 
+@pytest.mark.parametrize("hemisphere", [True, False])
+def test_product_rule_mirror_is_the_half_turn_about_its_axis(hemisphere):
+    q = KN.SphericalQuadrature.product_rule(12, 24, hemisphere=hemisphere)
+    assert np.array_equal(q.axis, [0.0, 0.0, 1.0])
+    assert np.array_equal(q.mirror[q.mirror], np.arange(len(q)))
+    z, zs = q.nodes, q.nodes[q.mirror]
+    assert np.abs(zs - z * [-1.0, -1.0, 1.0]).max() <= 1e-15
+    assert np.array_equal(q.weights[q.mirror], q.weights)
+    # no pairs without an even azimuthal order or a product layout
+    assert KN.SphericalQuadrature.product_rule(12, 25).mirror is None
+    assert KN.SphericalQuadrature(q.nodes, q.weights).mirror is None
+    assert KN.SphericalQuadrature.equator_refined([0.0, 0.0, 1.0], 0.5).mirror is None
+
+
+def test_aligned_evaluator_turns_the_rule_to_the_normal(iso11):
+    q = KN.SphericalQuadrature.product_rule(16, 32)
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.1), q, fk_scale=2.0)
+    normal = np.array([0.3, -0.5, 0.8])
+    unit = normal / np.linalg.norm(normal)
+    turned = ev.aligned(normal)
+    assert turned is not ev and np.abs(turned.axis - unit).max() <= 1e-15
+    # each node keeps its height along the axis, and its mirror turns by pi about it
+    z = turned.nodes
+    assert np.abs(z @ unit - q.nodes[:, 2]).max() <= 1e-15
+    assert np.abs(z[turned.mirror] - (2.0 * np.outer(z @ unit, unit) - z)).max() <= 1e-15
+    assert np.array_equal(turned.weights, q.weights) and np.array_equal(turned.mirror, q.mirror)
+    assert turned.elasticity is ev.elasticity and turned.profile is ev.profile
+    assert turned.fk_scale == 2.0 and not turned.fk.flags.writeable
+    plain = KN.KernelEvaluator(iso11, ev.profile, KN.SphericalQuadrature(z, q.weights))
+    assert np.array_equal(turned.fk, 2.0 * plain.fk)
+    # turning on from an aligned rule maps its axis, not e_z
+    back = turned.aligned([0.0, 0.0, 1.0])
+    assert np.abs(back.nodes @ [0.0, 0.0, 1.0] - q.nodes[:, 2]).max() <= 1e-15
+    assert np.array_equal(ev.nodes, q.nodes) and ev.axis is q.axis
+
+
 def test_cached_factors_match_reference(iso11, ev_unit):
     for idx in (0, 17, len(ev_unit.nodes) - 1):
         z = ev_unit.nodes[idx]

@@ -122,6 +122,8 @@ def test_step_profile_splits_each_step_by_phase():
     out = script.profile(net, cfg)
     assert EV.solve_velocity is solve
     assert out["termination"] == "annihilated"
+    # the xy-plane circle is already normal to the rule's axis
+    assert out["rule_axis"] is None
     steps = out["steps"]
     assert out["n_steps"] == len(steps) > 10
     assert {s["n_nodes"] for s in steps} == {12, 7}
