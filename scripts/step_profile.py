@@ -11,8 +11,8 @@ object: each step's node count and seconds per phase, and per phase the
 least-squares intercept and slope of its seconds against the node count,
 so the fixed per-step cost shows apart from the cost per node, and
 `rule_axis`, the axis the run turned its sphere rule to (null if it kept
-the configured rule), which tells whether its sweeps paired mirror
-nodes.  Wall clock (`time.perf_counter`) in one process; pin BLAS to one
+the configured rule), which tells whether its sweeps took the flat
+path.  Wall clock (`time.perf_counter`) in one process; pin BLAS to one
 thread (OPENBLAS_NUM_THREADS=1) to match the benchmark.
 """
 

@@ -15,8 +15,8 @@ contracts it with the node's factor into the weighted sphere sum.  The
 densities are correlated in the narrower of their own basis and the
 range of the node's factor.  Sphere nodes are processed in equal chunks
 sized by a memory budget, summed in index order.  A cloud flat along the
-rule's axis correlates only one node of each mirror pair (z, z*), whose
-projections differ only in sign, with the pair's factors combined.
+rule's axis projects alike on all nodes of one azimuth, up to a scale, so
+`_flat_sweep` correlates once per pair of azimuths (phi, phi + pi).
 """
 
 import functools
@@ -119,11 +119,12 @@ _QUINTIC = np.array([
 ]) / 120.0
 
 
-def _spline_matrix(t, lo, dx, nfft):
+def _spline_matrix(t, lo, dx, nfft, merged=False):
     """Quintic B-spline assignment of the points t (n, zc) to zc grids of
     nfft nodes, grid k starting 3 spacings below lo[k]: the CSR matrix
     (n * zc, zc * nfft) whose row i * zc + k holds point i's six weights on
-    grid k.  The margin is added after the subtraction, so a point at lo
+    grid k, or when merged (n, zc * nfft) with row i holding all of point
+    i's weights.  The margin is added after the subtraction, so a point at lo
     sits exactly at grid coordinate 3 and its leftmost tap at index 1; a
     margin subtracted from lo can round that tap to index -1, outside its
     node's grid."""
@@ -140,9 +141,9 @@ def _spline_matrix(t, lo, dx, nfft):
     cols = np.empty((n * zc, 6), np.intc)
     for j in range(6):
         np.add(i0.ravel(), j - 2, out=cols[:, j])
-    rows = np.arange(0, 6 * n * zc + 1, 6, dtype=np.intc)
+    rows = np.arange(0, 6 * n * zc + 1, 6 * zc if merged else 6, dtype=np.intc)
     return scipy.sparse.csr_array(
-        ((powers.T @ _QUINTIC).ravel(), cols.ravel(), rows), shape=(n * zc, zc * nfft)
+        ((powers.T @ _QUINTIC).ravel(), cols.ravel(), rows), shape=(len(rows) - 1, zc * nfft)
     )
 
 
@@ -172,6 +173,39 @@ def _kernel_spectrum(epsilon, order, nfft, reach):
         spec = scipy.fft.rfft(ker)
     spec.setflags(write=False)
     return spec
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_rows(epsilon, order, sines):
+    """Per polar sine s, eta^(order)(s u) at the grid lags u with the
+    profile cut at |s u| <= KERNEL_CUT eps, deconvolved by the spline's
+    sinc^12 on its own shortest grid (as `_kernel_spectrum` does before a
+    cut): lags -h .. h, h = KERNEL_HALF / s rounded down, zero-padded to
+    the widest row with lag 0 in the middle; read-only."""
+    top = int(KERNEL_HALF / min(sines))
+    rows = np.zeros((len(sines), 2 * top + 1))
+    for row, s in zip(rows, sines):
+        lags = np.arange(-int(KERNEL_HALF / s), int(KERNEL_HALF / s) + 1)
+        n = scipy.fft.next_fast_len(len(lags), real=True)
+        ker = np.zeros(n)
+        ker[lags] = eta(MollifierProfile(epsilon), s * lags * (GRID_STEP * epsilon), order)
+        row[top + lags] = scipy.fft.irfft(scipy.fft.rfft(ker) / np.sinc(np.arange(n // 2 + 1) / n) ** 12, n)[lags]
+    rows.setflags(write=False)
+    return rows
+
+
+def _azimuth_kernels(epsilon, order, sines, m):
+    """The grid length nfft for projections that span m - 1 spacings, and
+    the spectra (nfft // 2 + 1, n_polar) of `_kernel_rows` cut at m - 1
+    lags: real for an even order, the imaginary part for an odd one."""
+    rows = _kernel_rows(epsilon, order, sines)
+    top = rows.shape[1] // 2
+    lags = np.arange(-min(m - 1, top), min(m - 1, top) + 1)
+    nfft = scipy.fft.next_fast_len(m + lags[-1], real=True)
+    ker = np.zeros((len(sines), nfft))
+    ker[:, lags] = rows[:, top + lags]
+    spec = scipy.fft.rfft(ker, axis=1)
+    return nfft, np.ascontiguousarray((spec.imag if order % 2 else spec.real).T)
 
 
 def _correlate(ev, orders, src_t, src_a, dst_t):
@@ -239,7 +273,72 @@ def _group_slots(coords, group, n_groups):
     return slots.reshape(coords.shape[:-1] + (-1,))
 
 
-def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
+def _flat_sweep(ev, F, terms, src, a, dst, n_groups, span):
+    """`_sweep`'s sums for a cloud flat along the rule's axis n, from the
+    densities a (n_src, n_groups * r) in their own basis, the factor F
+    (n_sphere, r, m) on it (r x r without targets, the correlated channel
+    first) and span, None or a basis (m, t) of the target channels read.
+
+    A node z = cos(theta) n + sin(theta) e_phi projects a difference d to
+    sin(theta) e_phi.d, and its mirror z* at phi + pi to minus that.  So a
+    pair of azimuths deposits the points once on a grid in u = e_phi.x and
+    multiplies the spectrum by the matrix kernel sum_theta g_theta
+    f_theta: g_theta the spectrum of eta^(order)(sin(theta) u), f_theta
+    the weighted factor f(z) + (-1)^order f(z*).  A chunk's azimuths share
+    one spline matrix with a row per point: its transpose deposits each
+    point on every grid, and its product gathers and sums over them."""
+    dx = GRID_STEP * ev.epsilon
+    keep, sines, e_phi = ev.azimuth_frame
+    n_az, n_polar = keep.shape
+    F = F if span is None else F @ span
+    r = F.shape[1]
+    factors = []
+    for order, W in terms:
+        f = (F[..., None] * W[:, None, None, :]).reshape(len(W), r, -1)
+        factors.append(np.ascontiguousarray((f[keep] + (-1) ** order * f[ev.mirror[keep]]).swapaxes(0, 1)))
+    # the cloud's diameter bounds its extent along every e_phi (a spacing
+    # spare for rounding), so one grid and one spectrum per kernel serve all
+    cloud = src if dst is None or dst is src else np.concatenate((src, dst))
+    m = int(2.0 * float(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1).max()) / dx) + 8
+    (nfft, _), *_ = spectra = [_azimuth_kernels(ev.epsilon, order, sines, m) for order, _ in terms]
+    nb = nfft // 2 + 1
+    n_chan = a.shape[1]
+    per_azimuth = max(nfft * (n_chan + n_groups * sum(f.shape[3] for f in factors)), (12 + n_chan) * len(cloud))
+    n_chunks = int(np.ceil(n_az / max(1, CHUNK_BUDGET // per_azimuth)))
+    if dst is None:
+        # Parseval's weights: bins other than 0 and nfft/2 stand for their conjugates too
+        weight = np.where(np.arange(nb) % (nfft / 2) == 0, 1.0, 2.0) / nfft
+        sums = [np.zeros((n_groups, n_groups, W.shape[1])) for _, W in terms]
+    else:
+        sums = [np.zeros((len(dst), f.shape[3])) for f in factors]
+    bounds = [n_az * k // n_chunks for k in range(n_chunks + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        us = src @ e_phi[lo:hi].T
+        ud = us if dst is None or dst is src else dst @ e_phi[lo:hi].T
+        low = (us if ud is us else np.concatenate((us, ud))).min(axis=0)
+        deposit = _spline_matrix(us, low, dx, nfft, merged=True)
+        gather = deposit if ud is us else _spline_matrix(ud, low, dx, nfft, merged=True)
+        spec = scipy.fft.rfft((deposit.T @ a).reshape(hi - lo, nfft, n_chan), axis=1)
+        spec = spec.reshape(hi - lo, nb, n_groups, -1)
+        for acc, (order, _), (_, g), f in zip(sums, terms, spectra, factors):
+            kern = (g @ f[:, lo:hi].reshape(n_polar, -1)).reshape(nb, hi - lo, r, -1).swapaxes(0, 1)
+            prod = spec[..., 0, None] * kern[:, :, None, 0]
+            for c in range(1, r):
+                prod += spec[..., c, None] * kern[:, :, None, c]
+            if order % 2:
+                prod *= 1j
+            if dst is None:
+                conj = spec.conj() * weight[:, None, None]
+                acc += np.einsum("gwmd,gwndp->mnp", conj, prod.reshape(spec.shape + (-1,)), optimize=False).real
+            else:
+                acc += gather @ scipy.fft.irfft(prod[:, :, 0], n=nfft, axis=1).reshape((hi - lo) * nfft, -1)
+    if dst is None:
+        return [acc.transpose(2, 0, 1) for acc in sums]
+    out = [acc.reshape(len(dst), -1, W.shape[1]).transpose(2, 0, 1) for acc, (_, W) in zip(sums, terms)]
+    return out if span is None else [o @ span.T for o in out]
+
+
+def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None, span=None):
     """Weighted sphere sums of the correlations of the densities src_a at
     the points src against one kernel: F is its per-node factor
     (n_sphere, 9, m), and V is None or the bases (n_sphere, 9, q) of the
@@ -256,24 +355,28 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
     + 1 (one group without labels).  The sphere nodes are split into as
     few equal chunks as CHUNK_BUDGET allows, added in index order; their
     count follows from the network's extent and size only.  If the cloud
-    is within FLAT eps of a plane normal to a mirrored rule's axis, only
-    the nodes k < mirror[k] are swept, each with F[k] + (-1)^order
-    F[mirror[k]] on the densities' own basis."""
+    is within FLAT eps of a plane normal to the axis of a rule with
+    azimuths, `_flat_sweep` gives the sums instead, and only their
+    components on span (m, t), when given, are exact."""
     cloud = src if dst is None or dst is src else np.concatenate((src, dst))
-    paired = ev.mirror is not None and np.ptp(cloud @ ev.axis) <= FLAT * ev.epsilon
+    flat = ev.azimuth is not None and np.ptp(cloud @ ev.axis) <= FLAT * ev.epsilon
     # b (x) e densities span at most 3 rank{b} of the 9 channels (3 for a
     # single loop): each node P[k] (9, r) holds that basis, on which they
     # are projected once, or the range of its factor where that is narrower
-    # (not when paired: mirror nodes must share the basis)
+    # (not when flat: the azimuths share one deposit)
     _, sv, vt = np.linalg.svd(src_a, full_matrices=False)
     basis = vt[: max(1, int(np.count_nonzero(sv > 1e-13 * sv[0])))]
+    n_groups = 1 if group is None else int(group.max()) + 1
+    if flat:
+        a = src_a @ basis.T if group is None else _group_slots(src_a @ basis.T, group, n_groups)
+        PtF = basis @ F if dst is not None else (basis @ F @ basis.T).swapaxes(1, 2)
+        return _flat_sweep(ev, PtF, terms, src, a, dst, n_groups, span)
     n_sphere = len(ev.weights)
-    if V is not None and V.shape[2] < len(basis) and not paired:
+    if V is not None and V.shape[2] < len(basis):
         P, own = V, None
     else:
         P, own = np.broadcast_to(basis.T, (n_sphere,) + basis.T.shape), src_a @ basis.T
     r = P.shape[2]
-    n_groups = 1 if group is None else int(group.max()) + 1
     # F projected once per call and weighted per term: a chunk's sums are
     # then one product over its nodes and channels together
     if dst is None:
@@ -286,18 +389,12 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
         sums = [np.zeros((len(dst), W.shape[1], F.shape[2])) for _, W in terms]
     orders = [order for order, _ in terms]
     nodes = ev.nodes
-    if paired:
-        # a flat cloud projects alike on z and its mirror z*, up to the
-        # sign of every difference: one correlation serves both nodes
-        keep = np.flatnonzero(np.arange(n_sphere) < ev.mirror)
-        nodes, n_sphere = nodes[keep], len(keep)
-        factors = [f[keep] + (-1) ** o * f[ev.mirror[keep]] for f, o in zip(factors, orders)]
     # the cloud's diameter bounds its extent along every z, so that the
     # projections are made per chunk: all of them at once held 24 MB for
     # the slip energy of two 2592-point disks on the 24x48 rule
-    span = 2.0 * float(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1).max())
+    diameter = 2.0 * float(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1).max())
     n_points = len(src) + (0 if dst is None else len(dst))
-    grid = span / (GRID_STEP * ev.epsilon)
+    grid = diameter / (GRID_STEP * ev.epsilon)
     per_node = max(
         n_groups * r * (grid + min(grid, KERNEL_HALF)),
         (12 + n_groups * r) * n_points,
@@ -329,6 +426,13 @@ def _sweep(ev, F, V, terms, src, src_a, dst=None, group=None):
     return [np.moveaxis(acc, 1 if dst is not None else 2, 0) for acc in sums]
 
 
+def _target_span(network):
+    """Orthonormal basis (9, 3q) of span{b} (x) R^3 over the network's Burgers
+    vectors b: the channels of the targets' sums that the line formulas read."""
+    _, sv, vt = np.linalg.svd([lp.burgers.cartesian for lp in network.loops], full_matrices=False)
+    return np.einsum("ja,cd->acjd", vt[sv > 1e-13 * sv[0]], np.eye(3), optimize=False).reshape(9, -1)
+
+
 def energy_line(network, ev, rule):
     """Self-energy of the network with a per-loop-pair breakdown."""
     if network.is_empty():
@@ -347,7 +451,7 @@ def energy_and_gradient(network, ev, rule):
     points, a9 = _gauss_cloud(network, rule)
     w = ev.weights[:, None]
     terms = [(0, w), (1, w * ev.nodes)]
-    (ga,), gz = _sweep(ev, ev.fk, ev.fk_range, terms, points, a9, points)
+    (ga,), gz = _sweep(ev, ev.fk, ev.fk_range, terms, points, a9, points, span=_target_span(network))
     energy = 0.5 * float(np.einsum("ic,ic->", a9, ga, optimize=False))
     layout = network.layout
     n = len(layout.nodes)
@@ -375,7 +479,7 @@ def pk_force(network, ev, rule):
     points, a9 = _gauss_cloud(network, rule)
     layout = network.layout
     term = (1, ev.weights[:, None] * ev.nodes)
-    (gz,) = _sweep(ev, ev.fk, ev.fk_range, [term], points, a9, layout.nodes)
+    (gz,) = _sweep(ev, ev.fk, ev.fk_range, [term], points, a9, layout.nodes, span=_target_span(network))
     # G = u x z with u_l = b_a F_(al)(cd) phi'_cd, each node with its own b
     gz = gz.reshape(3, -1, 3, 3)
     G = np.einsum("mlq,ia,qial->im", ALTERNATING, layout.burgers, gz, optimize=False)

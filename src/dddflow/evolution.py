@@ -434,7 +434,7 @@ def run(network, ev, model, rule, policy, snapshot_cb=None):
 
     A network whose nodes lie within FLAT eps of a plane that is not
     already normal to the rule's axis runs on the rule turned to that
-    plane (one `rule_aligned` event), so its sweeps pair mirror nodes."""
+    plane (one `rule_aligned` event) and sweeps once per pair of azimuths."""
     _keep_freed_heap()
     state = EvolutionState(time=0.0, network=network)
     if network.is_empty():

@@ -80,13 +80,14 @@ class SphericalQuadrature:
     floating point.  All kernel integrands here are even.
 
     `mirror` is None or each node's partner under the half turn about
-    the unit `axis` (a product rule's node at phi + pi), as an index array.
+    the unit `axis` (a product rule's node at phi + pi), as an index array;
+    `azimuth` is None or each node's azimuth index alongside it.
     """
 
-    def __init__(self, nodes, weights, axis=None, mirror=None):
+    def __init__(self, nodes, weights, axis=None, mirror=None, azimuth=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.weights = np.ascontiguousarray(weights, dtype=float)
-        self.axis, self.mirror = axis, mirror
+        self.axis, self.mirror, self.azimuth = axis, mirror, azimuth
         if self.nodes.shape != (len(self.weights), 3):
             raise ValueError("nodes/weights shape mismatch")
 
@@ -105,7 +106,8 @@ class SphericalQuadrature:
             x, w = x[keep], 2.0 * w[keep]
         k, half = np.arange(len(x) * n_azimuthal), n_azimuthal // 2
         mirror = k - k % n_azimuthal + (k + half) % n_azimuthal if n_azimuthal % 2 == 0 else None
-        return cls(*_azimuthal_product(x, w, n_azimuthal), np.array([0.0, 0.0, 1.0]), mirror)
+        azimuth = k % n_azimuthal if n_azimuthal % 2 == 0 else None
+        return cls(*_azimuthal_product(x, w, n_azimuthal), np.array([0.0, 0.0, 1.0]), mirror, azimuth)
 
     @classmethod
     def equator_refined(cls, axis, u_core):
@@ -233,7 +235,7 @@ class KernelEvaluator:
     kernel sums correlate fewer than 9 density channels; each is built on
     the first sweep against its factor, not with the evaluator.
     `fk_scale` multiplies the K factor (the checks' `--nphi-scale`).
-    `axis` and `mirror` are the rule's (see SphericalQuadrature).
+    `axis`, `mirror` and `azimuth` are the rule's (see SphericalQuadrature).
     """
 
     def __init__(self, elasticity, profile, quadrature=None, fk_scale=1.0):
@@ -243,7 +245,7 @@ class KernelEvaluator:
         self.profile = profile
         self.nodes = quadrature.nodes
         self.weights = quadrature.weights
-        self.axis, self.mirror = quadrature.axis, quadrature.mirror
+        self.axis, self.mirror, self.azimuth = quadrature.axis, quadrature.mirror, quadrature.azimuth
         self.fk_scale = fk_scale
         self.fk = fk_scale * _k_factor_stack(elasticity, self.nodes)
         self.fk.setflags(write=False)
@@ -263,16 +265,28 @@ class KernelEvaluator:
     def fj_range(self):
         return _factor_range(self.fj)
 
+    @functools.cached_property
+    def azimuth_frame(self):
+        """The node kept of each mirror pair by azimuth, polar order alike
+        (n_az, n_polar), the polar sines (a tuple) and each azimuth's unit
+        direction normal to the axis (n_az, 3)."""
+        keep = np.flatnonzero(np.arange(len(self.mirror)) < self.mirror)
+        keep = keep[np.argsort(self.azimuth[keep], kind="stable")]
+        keep = keep.reshape(len(np.unique(self.azimuth[keep])), -1)
+        inplane = self.nodes[keep] - np.multiply.outer(self.nodes[keep] @ self.axis, self.axis)
+        sines = np.linalg.norm(inplane, axis=2)
+        return keep, tuple(sines[0].tolist()), inplane[:, 0] / sines[:, :1]
+
     @property
     def epsilon(self):
         return self.profile.epsilon
 
     def aligned(self, normal):
         """The same evaluator on its rule turned so that its axis is the
-        unit `normal`; the mirror pairs turn with it."""
+        unit `normal`; the mirror pairs and azimuths turn with it."""
         axis = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
         R = _rotation_to(axis) @ _rotation_to(self.axis).T
-        turned = SphericalQuadrature(self.nodes @ R.T, self.weights, axis, self.mirror)
+        turned = SphericalQuadrature(self.nodes @ R.T, self.weights, axis, self.mirror, self.azimuth)
         return KernelEvaluator(self.elasticity, self.profile, turned, self.fk_scale)
 
 

@@ -216,6 +216,51 @@ def test_compact_loop_with_cut_kernel_matches_pair_oracle(anisotropic):
     assert rel(G, pair_sum(EF.pk_force, net, ev, RULE).G) <= TOL
 
 
+def _flat_network(case):
+    """Circles of 0.5 eps segments in the rule's plane, isotropic, or the
+    three coplanar loops of three Burgers vectors, cubic (their densities
+    span 6 channels and their targets' Burgers vectors all 9)."""
+    lat, eps = SH.cubic_lattice(), 0.1
+    rule = KN.SphericalQuadrature.product_rule(16, 32)
+    if case == "coplanar":
+        loops = [
+            SH.circle_loop(lat, 0.3, 24, burgers=b, center=(0.8 * k, 0.3 * (k % 2), 0.0))
+            for k, b in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        ]
+        ev = _evaluator(eps, True)
+        ev = KN.KernelEvaluator(ev.elasticity, ev.profile, rule)
+        return GE.DislocationNetwork(lat, loops, eps), ev
+    n_nodes, burgers = case
+    loop = SH.circle_loop(lat, n_nodes * 0.5 * eps / (2.0 * np.pi), n_nodes, burgers=burgers)
+    ev = KN.KernelEvaluator(EL.make_isotropic(1.0, 1.0), KN.MollifierProfile(eps), rule)
+    return SH.single_loop_network(loop, eps), ev
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "case",
+    [(n, b) for n in (7, 12, 128) for b in ((0, 0, 1), (1, 0, 0))] + ["coplanar"],
+    ids=lambda c: c if isinstance(c, str) else f"{c[0]}-{'prismatic' if c[1][2] else 'glide'}",
+)
+def test_flat_sweep_matches_pair_oracle(case):
+    """A cloud in the rule's plane takes the azimuth sweep, which never
+    calls `_correlate`; the oracle runs on the same nodes without their
+    azimuths."""
+    net, ev = _flat_network(case)
+    unpaired = KN.KernelEvaluator(ev.elasticity, ev.profile, KN.SphericalQuadrature(ev.nodes, ev.weights))
+    surfaces = [GE.make_planar_surface(lp) for lp in net.loops]
+    with mock.patch.object(EF, "_correlate", side_effect=AssertionError("not a flat sweep")):
+        (e, g), G = EF.energy_and_gradient(net, ev, RULE), EF.pk_force(net, ev, RULE).G
+        blocks, es = EF.energy_line(net, ev, RULE).matrix, EF.energy_surface(surfaces, ev)
+    e_pair, g_pair = pair_sum(EF.energy_and_gradient, net, unpaired, RULE)
+    assert abs(e - e_pair) <= TOL * abs(e_pair)
+    assert rel(g, g_pair) <= TOL
+    assert rel(G, pair_sum(EF.pk_force, net, unpaired, RULE).G) <= TOL
+    assert rel(blocks, pair_sum(EF.energy_line, net, unpaired, RULE).matrix) <= TOL
+    es_pair = pair_sum(EF.energy_surface, surfaces, unpaired)
+    assert abs(es - es_pair) <= TOL * abs(es_pair)
+
+
 @st.composite
 def spanned_loops(draw):
     """One or two loops with cone surfaces; two give cross-surface terms."""

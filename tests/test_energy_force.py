@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -140,6 +142,43 @@ def test_full_reach_spectrum_is_unchanged(nfft):
         assert np.array_equal(EF._kernel_spectrum(eps, order, nfft, HALF), want)
 
 
+@pytest.mark.parametrize("m", [73, 100, 300])
+def test_azimuth_kernel_at_unit_sine_is_the_node_spectrum(m):
+    # at s = 1 and no cut (m - 1 >= 72 lags) the row deconvolved on its own
+    # grid gives the spectrum deconvolved on the correlation grid
+    for order in (0, 1, 2):
+        nfft, spec = EF._azimuth_kernels(0.25, order, (1.0,), m)
+        want = EF._kernel_spectrum(0.25, order, nfft, HALF)
+        want = want.imag if order % 2 else want.real
+        assert spec.shape == (nfft // 2 + 1, 1)
+        assert np.abs(spec[:, 0] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_widest_kernel_row_is_cut_after_its_own_deconvolution(iso11):
+    eps, m = 0.1, 200
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(eps), KN.SphericalQuadrature.product_rule(24, 48))
+    _, sines, _ = ev.azimuth_frame
+    s = min(sines)
+    half = int(HALF / s)
+    assert 0.09 < s < 0.1 and 700 < half < 750
+    # sample, deconvolve and cut on the row's own grid, then move to the
+    # correlation grid of a cloud spanning m - 1 spacings
+    n = scipy.fft.next_fast_len(2 * half + 1, real=True)
+    lags, kept = np.arange(-half, half + 1), np.arange(1 - m, m)
+    for order in (0, 1, 2):
+        ker = np.zeros(n)
+        ker[lags] = KN.eta(KN.MollifierProfile(eps), s * lags * (EF.GRID_STEP * eps), order)
+        full = scipy.fft.irfft(scipy.fft.rfft(ker) / np.sinc(np.arange(n // 2 + 1) / n) ** 12, n)
+        nfft, spec = EF._azimuth_kernels(eps, order, sines, m)
+        assert nfft == scipy.fft.next_fast_len(2 * m - 1, real=True)
+        cut = np.zeros(nfft)
+        cut[kept] = full[kept]
+        want = scipy.fft.rfft(cut)
+        want = want.imag if order % 2 else want.real
+        got = spec[:, sines.index(s)]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def _tilted(net, angle=0.3):
     """The network turned by `angle` about the x axis, off the xy plane."""
     c, s = np.cos(angle), np.sin(angle)
@@ -147,25 +186,21 @@ def _tilted(net, angle=0.3):
     return GE.DislocationNetwork(net.lattice, [GE.Loop(lp.nodes @ R.T, lp.burgers) for lp in net.loops], net.epsilon)
 
 
-# chunks: the plan of the loop tilted off the rule's axis, then of the
-# flat loop, which sweeps one node of each of the 128 mirror pairs
-@pytest.mark.parametrize("n_nodes, radius, chunks", [(10, 0.1, ([256], [128])), (128, 1.0, ([32] * 8, [32] * 4))])
+# chunks: the plan of the loop tilted off the rule's axis, in sphere
+# nodes, then of the flat loop, in the 16 pairs of azimuths
+@pytest.mark.parametrize("n_nodes, radius, chunks", [(10, 0.1, ([256], [16])), (128, 1.0, ([32] * 8, [16]))])
 def test_sweep_sizes_chunks_and_grids_by_the_cloud(lat, iso11, monkeypatch, n_nodes, radius, chunks):
     # the shrink run's rule at its start (R = 10 eps) and near its end (R = eps)
     ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.1), KN.SphericalQuadrature.product_rule(16, 32))
     flat = SH.single_loop_network(SH.circle_loop(lat, radius, n_nodes), 0.1)
     sizes, grids = [], []
-    correlate, spline = EF._correlate, EF._spline_matrix
+    spline = EF._spline_matrix
 
-    def spy_correlate(ev, orders, src_t, src_a, dst_t):
-        sizes.append(src_t.shape[1])
-        return correlate(ev, orders, src_t, src_a, dst_t)
-
-    def spy_spline(t, lo, dx, nfft):
+    def spy_spline(t, lo, dx, nfft, merged=False):
+        sizes.append(t.shape[1])
         grids.append(nfft)
-        return spline(t, lo, dx, nfft)
+        return spline(t, lo, dx, nfft, merged)
 
-    monkeypatch.setattr(EF, "_correlate", spy_correlate)
     monkeypatch.setattr(EF, "_spline_matrix", spy_spline)
     for net, plan in zip((_tilted(flat), flat), chunks):
         sizes.clear()
@@ -196,22 +231,29 @@ def _line_outputs(net, ev, rule):
 
 
 def _assert_pairing_exact(net, ev, monkeypatch):
-    """A flat network's paired sums equal the unpaired ones on the same
-    rule within 1e-8 relative, each sweep correlating half the nodes."""
-    swept, correlate = [], EF._correlate
+    """A flat network's sums equal the unpaired ones on the same rule
+    within 1e-8 relative, each sweep correlating once per pair of
+    azimuths and no sphere node on its own."""
+    swept, grids, correlate, spline = [], [], EF._correlate, EF._spline_matrix
 
     def spy(ev, orders, src_t, src_a, dst_t):
         swept.append(src_t.shape[1])
         return correlate(ev, orders, src_t, src_a, dst_t)
 
+    def spy_spline(t, lo, dx, nfft, merged=False):
+        grids.append(t.shape[1])
+        return spline(t, lo, dx, nfft, merged)
+
     for order in (2, 4):
         rule = EF.LineQuadratureRule(order)
         with monkeypatch.context() as m:
             m.setattr(EF, "_correlate", spy)
+            m.setattr(EF, "_spline_matrix", spy_spline)
             paired = _line_outputs(net, ev, rule)
-        # four sweeps, each over one node of every mirror pair
-        assert sum(swept) == 4 * len(ev.weights) // 2
-        swept.clear()
+        # four sweeps, each on one grid per pair of azimuths, and pk_force's
+        # targets gathered through a spline matrix of their own
+        assert swept == [] and sum(grids) == 5 * len(np.unique(ev.azimuth)) // 2
+        grids.clear()
         want = _line_outputs(net, _unpaired(ev), rule)
         for key, value in paired.items():
             err = np.abs(value - want[key]).max() / np.abs(want[key]).max()
@@ -245,6 +287,23 @@ def test_coplanar_loops_pair_on_their_own_basis(lat, monkeypatch):
     assert np.linalg.matrix_rank(EF._gauss_cloud(net, EF.LineQuadratureRule(2))[1]) == 6
     assert ev.fk_range.shape[2] == 5
     _assert_pairing_exact(net, ev, monkeypatch)
+
+
+def test_flat_sweep_memory_at_the_top_rung(lat, iso11):
+    # the ladder's 2048-node circle: at most 1.5x the 6.1 MB traced peak of
+    # the one-node-per-mirror-pair sweep that the azimuth sweep replaced
+    eps = 0.1
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(eps), KN.SphericalQuadrature.product_rule(24, 48))
+    net = SH.single_loop_network(SH.circle_loop(lat, 2048 * 0.5 * eps / (2.0 * np.pi), 2048), eps)
+    rule = EF.LineQuadratureRule(4)
+    EF.energy_and_gradient(net, ev, rule)
+    tracemalloc.start()
+    try:
+        EF.energy_and_gradient(net, ev, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 6.1e6
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

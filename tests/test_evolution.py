@@ -392,14 +392,17 @@ def test_repeat_run_bit_identical(lat, ev01, rule2):
 
 def test_repeat_run_builds_no_kernel_spectrum(lat, ev01, rule2):
     # a loop shrinking to annihilation meets about a hundred grid lengths,
-    # and each spectrum must still be cached when the next run needs it
+    # and each spectrum must still be cached when the next run needs it;
+    # flat along the rule's axis, the run needs only its kernel rows
     net = SH.single_loop_network(SH.circle_loop(lat, 0.5, 32), 0.1)
+    unpaired = KN.KernelEvaluator(ev01.elasticity, ev01.profile, KN.SphericalQuadrature(ev01.nodes, ev01.weights))
     policy = EV.StepPolicy(t_end=1e9, dt_max=0.5)
-    first = EV.run(net, ev01, MODEL, rule2, policy)
-    misses = EF._kernel_spectrum.cache_info().misses
-    second = EV.run(net, ev01, MODEL, rule2, policy)
-    assert first.termination == second.termination == "annihilated"
-    assert EF._kernel_spectrum.cache_info().misses == misses
+    for ev in (ev01, unpaired):
+        first = EV.run(net, ev, MODEL, rule2, policy)
+        misses = EF._kernel_spectrum.cache_info().misses, EF._kernel_rows.cache_info().misses
+        second = EV.run(net, ev, MODEL, rule2, policy)
+        assert first.termination == second.termination == "annihilated"
+        assert (EF._kernel_spectrum.cache_info().misses, EF._kernel_rows.cache_info().misses) == misses
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap policy is set through glibc's mallopt")

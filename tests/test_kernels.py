@@ -119,10 +119,16 @@ def test_product_rule_mirror_is_the_half_turn_about_its_axis(hemisphere):
     z, zs = q.nodes, q.nodes[q.mirror]
     assert np.abs(zs - z * [-1.0, -1.0, 1.0]).max() <= 1e-15
     assert np.array_equal(q.weights[q.mirror], q.weights)
+    # a node and its mirror lie half the azimuths apart
+    assert np.array_equal(q.azimuth, np.arange(len(q)) % 24)
+    assert np.array_equal(q.azimuth[q.mirror], (q.azimuth + 12) % 24)
     # no pairs without an even azimuthal order or a product layout
-    assert KN.SphericalQuadrature.product_rule(12, 25).mirror is None
-    assert KN.SphericalQuadrature(q.nodes, q.weights).mirror is None
-    assert KN.SphericalQuadrature.equator_refined([0.0, 0.0, 1.0], 0.5).mirror is None
+    for rule in (
+        KN.SphericalQuadrature.product_rule(12, 25),
+        KN.SphericalQuadrature(q.nodes, q.weights),
+        KN.SphericalQuadrature.equator_refined([0.0, 0.0, 1.0], 0.5),
+    ):
+        assert rule.mirror is None and rule.azimuth is None
 
 
 def test_aligned_evaluator_turns_the_rule_to_the_normal(iso11):
@@ -137,6 +143,15 @@ def test_aligned_evaluator_turns_the_rule_to_the_normal(iso11):
     assert np.abs(z @ unit - q.nodes[:, 2]).max() <= 1e-15
     assert np.abs(z[turned.mirror] - (2.0 * np.outer(z @ unit, unit) - z)).max() <= 1e-15
     assert np.array_equal(turned.weights, q.weights) and np.array_equal(turned.mirror, q.mirror)
+    assert np.array_equal(turned.azimuth, q.azimuth)
+    # the kept node of each pair by azimuth: the same polar sines, and
+    # directions normal to the axis half a turn apart at most
+    keep, sines, e_phi = turned.azimuth_frame
+    assert keep.shape == (16, 8) and np.array_equal(q.azimuth[keep], np.repeat(np.arange(16)[:, None], 8, axis=1))
+    assert np.abs(np.array(sines) - np.linalg.norm(q.nodes[keep[0], :2], axis=1)).max() <= 1e-15
+    assert np.abs(e_phi @ unit).max() <= 1e-15 and np.abs(np.linalg.norm(e_phi, axis=1) - 1.0).max() <= 1e-15
+    inplane = z[keep] - np.multiply.outer(z[keep] @ unit, unit)
+    assert np.abs(inplane - e_phi[:, None, :] * np.array(sines)[None, :, None]).max() <= 1e-15
     assert turned.elasticity is ev.elasticity and turned.profile is ev.profile
     assert turned.fk_scale == 2.0 and not turned.fk.flags.writeable
     plain = KN.KernelEvaluator(iso11, ev.profile, KN.SphericalQuadrature(z, q.weights))
@@ -168,7 +183,9 @@ def test_densities_correlate_in_the_narrower_basis(iso11, rule4, rng, monkeypatc
     rank 5; three loops with b = x, y, z span all 9, so the sweep
     correlates them in FK's range."""
     lat = SH.cubic_lattice()
-    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.25), KN.SphericalQuadrature.product_rule(8, 16))
+    # a rule without azimuths: the flat loop takes the sphere-node path too
+    rule = KN.SphericalQuadrature.product_rule(8, 16)
+    ev = KN.KernelEvaluator(iso11, KN.MollifierProfile(0.25), KN.SphericalQuadrature(rule.nodes, rule.weights))
     channels = []
     correlate = EF._correlate
 
